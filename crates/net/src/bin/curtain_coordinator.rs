@@ -3,7 +3,7 @@
 //! ```text
 //! curtain_coordinator <k> <d> [--wal <path>] [--strict] [--standby-of <addr>]
 //!                             [--checkpoint <path>] [--stats-every <secs>]
-//!                             [--trace <path>] [--metrics <addr>] [--transport <tcp|udp|vnet>]
+//!                             [--trace <path>] [--metrics <addr>]
 //! ```
 //!
 //! Prints the control address; peers and the source point at it. With
@@ -38,7 +38,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: curtain_coordinator <k> <d> [--wal <path>] [--strict] \
          [--standby-of <addr>] [--checkpoint <path>] [--stats-every <secs>] \
-         [--trace <path>] [--metrics <addr>] [--transport <tcp|udp|vnet>]"
+         [--trace <path>] [--metrics <addr>]"
     );
     std::process::exit(2);
 }
@@ -57,14 +57,9 @@ fn main() {
     let mut stats_every = 5u64;
     let mut trace: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut transport_flag: Option<String> = None;
     let mut i = 2;
     while i < args.len() {
         match args[i].as_str() {
-            "--transport" if i + 1 < args.len() => {
-                transport_flag = Some(args[i + 1].clone());
-                i += 2;
-            }
             "--wal" if i + 1 < args.len() => {
                 wal = Some(args[i + 1].clone());
                 i += 2;
@@ -94,30 +89,6 @@ fn main() {
                 i += 2;
             }
             _ => usage(),
-        }
-    }
-
-    // The control plane is TCP JSON under every transport; the selector
-    // exists here so one env/flag convention configures a whole deployment.
-    match curtain_net::transport::resolve(transport_flag.as_deref()) {
-        Ok(curtain_net::TransportKind::Tcp) => {}
-        Ok(curtain_net::TransportKind::Vnet) => {
-            eprintln!(
-                "the vnet transport exists only in-process (a simulated world, not a dialable \
-                 network); run the e22 lab sweep instead: cargo run -p curtain-lab -- run --exp e22"
-            );
-            std::process::exit(2);
-        }
-        Ok(curtain_net::TransportKind::Udp) => {
-            eprintln!(
-                "the UDP backend covers the data plane only; the coordinator's control plane \
-                 is TCP JSON under every transport"
-            );
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
         }
     }
 

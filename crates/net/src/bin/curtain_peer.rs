@@ -3,7 +3,6 @@
 //! ```text
 //! curtain_peer <coordinator-addr> [--out <path>] [--seed-secs <n>] [--timeout-secs <n>]
 //!                                 [--trace <path>] [--metrics <addr>]
-//!                                 [--transport <tcp|udp|vnet>]
 //! ```
 //!
 //! `--trace` streams this peer's JSONL event log (hop events, repair
@@ -24,7 +23,7 @@ use curtain_telemetry::{ExposeServer, JsonlSink, SharedRecorder};
 fn usage() -> ! {
     eprintln!(
         "usage: curtain_peer <coordinator-addr> [--out <path>] [--seed-secs <n>] \
-         [--timeout-secs <n>] [--trace <path>] [--metrics <addr>] [--transport <tcp|udp|vnet>]"
+         [--timeout-secs <n>] [--trace <path>] [--metrics <addr>]"
     );
     std::process::exit(2);
 }
@@ -40,14 +39,9 @@ fn main() {
     let mut timeout_secs = 120u64;
     let mut trace: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut transport_flag: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--transport" if i + 1 < args.len() => {
-                transport_flag = Some(args[i + 1].clone());
-                i += 2;
-            }
             "--out" if i + 1 < args.len() => {
                 out = Some(args[i + 1].clone());
                 i += 2;
@@ -69,28 +63,6 @@ fn main() {
                 i += 2;
             }
             _ => usage(),
-        }
-    }
-
-    match curtain_net::transport::resolve(transport_flag.as_deref()) {
-        Ok(curtain_net::TransportKind::Tcp) => {}
-        Ok(curtain_net::TransportKind::Vnet) => {
-            eprintln!(
-                "the vnet transport exists only in-process (a simulated world, not a dialable \
-                 network); run the e22 lab sweep instead: cargo run -p curtain-lab -- run --exp e22"
-            );
-            std::process::exit(2);
-        }
-        Ok(curtain_net::TransportKind::Udp) => {
-            eprintln!(
-                "the UDP backend covers the data-plane endpoint \
-                 (curtain_net::transport::udp); peer sessions dial TCP"
-            );
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
         }
     }
 

@@ -3,7 +3,6 @@
 //! ```text
 //! curtain_source <coordinator-addr> <file> [--generation <g>] [--packet-len <s>] [--pace-us <micros>]
 //!                                          [--window <n>] [--trace <path>] [--metrics <addr>]
-//!                                          [--transport <tcp|udp|vnet>]
 //! ```
 //!
 //! With `--packet-len`, the file is cut into multiple generations of
@@ -30,7 +29,7 @@ use curtain_telemetry::{ExposeServer, JsonlSink, SharedRecorder};
 fn usage() -> ! {
     eprintln!(
         "usage: curtain_source <coordinator-addr> <file> [--generation <g>] [--packet-len <s>] \
-         [--pace-us <micros>] [--window <n>] [--trace <path>] [--metrics <addr>] [--transport <tcp|udp|vnet>]"
+         [--pace-us <micros>] [--window <n>] [--trace <path>] [--metrics <addr>]"
     );
     std::process::exit(2);
 }
@@ -48,14 +47,9 @@ fn main() {
     let mut window: Option<usize> = None;
     let mut trace: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut transport_flag: Option<String> = None;
     let mut i = 2;
     while i < args.len() {
         match args[i].as_str() {
-            "--transport" if i + 1 < args.len() => {
-                transport_flag = Some(args[i + 1].clone());
-                i += 2;
-            }
             "--generation" if i + 1 < args.len() => {
                 generation = args[i + 1].parse().unwrap_or_else(|_| usage());
                 i += 2;
@@ -81,28 +75,6 @@ fn main() {
                 i += 2;
             }
             _ => usage(),
-        }
-    }
-
-    match curtain_net::transport::resolve(transport_flag.as_deref()) {
-        Ok(curtain_net::TransportKind::Tcp) => {}
-        Ok(curtain_net::TransportKind::Vnet) => {
-            eprintln!(
-                "the vnet transport exists only in-process (a simulated world, not a dialable \
-                 network); run the e22 lab sweep instead: cargo run -p curtain-lab -- run --exp e22"
-            );
-            std::process::exit(2);
-        }
-        Ok(curtain_net::TransportKind::Udp) => {
-            eprintln!(
-                "the UDP backend covers the data-plane endpoint \
-                 (curtain_net::transport::udp); source sessions serve TCP"
-            );
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            usage();
         }
     }
 

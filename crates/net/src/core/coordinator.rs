@@ -16,7 +16,7 @@
 //!   the driver answers it from its commit queue.
 //!
 //! The core is generic over the address type, so the same dispatch logic
-//! serves real `SocketAddr`s over TCP/UDP and vnet endpoint ids inside
+//! serves real `SocketAddr`s over TCP and vnet endpoint ids inside
 //! the simulator — the same grants, splices, and redirects either way.
 
 use std::collections::{HashMap, HashSet};

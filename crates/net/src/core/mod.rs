@@ -7,15 +7,14 @@
 //! constructors and fails on any hit. Drivers own
 //! the I/O: the blocking TCP layer ([`crate::peer`],
 //! [`crate::coordinator`], [`crate::source`], [`crate::standby`]) feeds
-//! these cores from real sockets and real clocks, the UDP endpoint feeds
-//! them from datagrams, and the vnet scheduler
+//! these cores from real sockets and real clocks, and the vnet scheduler
 //! ([`crate::transport::vnet`]) feeds them from a virtual clock — which
 //! is what lets one test drive a thousand real-protocol peers
 //! deterministically in a single process.
 //!
 //! Layout:
 //!
-//! * [`wire`] — frame/handshake/datagram byte formats, pure codecs.
+//! * [`wire`] — frame/handshake byte formats, pure codecs.
 //! * [`ctrl`] — the control-plane request/response protocol, generic
 //!   over the address type so cores never name `std::net`.
 //! * [`backoff`] — the one exponential-backoff-with-jitter schedule.

@@ -3,22 +3,17 @@
 //! Everything here is sans-io: encoders append to caller-owned buffers,
 //! decoders parse caller-supplied slices, and nothing touches a socket.
 //! [`crate::framing`] wraps these functions with blocking stream I/O for
-//! the TCP driver; the UDP and vnet transports consume them directly —
-//! one message per frame — so all three backends speak byte-identical
-//! frames by construction.
+//! the TCP driver; the vnet transport consumes them directly — one
+//! message per frame — so both backends speak byte-identical frames by
+//! construction.
 //!
-//! Three encodings live here:
+//! Two encodings live here:
 //!
 //! * **Stream frames** — `[u32 LE length | flags][extensions][packet]`,
 //!   the length-prefixed format TCP writes back-to-back on a connection
 //!   (see [`TRACE_FLAG`] / [`WINDOW_FLAG`] for the optional extensions).
 //! * **Handshake lines** — the one-line JSON [`Subscribe`] handshake and
 //!   the coordinator's resync nudge ([`RESYNC_NUDGE_LINE`]).
-//! * **Datagram chunks** — a frame cut into MTU-sized datagrams with a
-//!   10-byte header, reassembled loss- and reorder-tolerantly by
-//!   [`Reassembler`] (the UDP transport's framing).
-
-use std::collections::{HashMap, VecDeque};
 
 use curtain_overlay::{NodeId, ThreadId};
 use curtain_rlnc::{BufPool, CodedPacket};
@@ -181,7 +176,7 @@ pub type TaggedFrame = (CodedPacket, Option<TraceContext>, Option<u32>);
 /// Decodes exactly one frame from `buf` (prefix included), parsing the
 /// packet into pool-recycled buffers. The message-oriented counterpart of
 /// the stream reader: trailing bytes after the frame are an error, so a
-/// datagram or vnet message carries one frame and nothing else.
+/// vnet message carries one frame and nothing else.
 ///
 /// # Errors
 ///
@@ -281,260 +276,18 @@ pub fn decode_frame_prefix(buf: &[u8], pool: &BufPool) -> Result<(TaggedFrame, u
     Ok(((packet, ctx, base), total))
 }
 
-// ---------------------------------------------------------------------------
-// Datagram chunking — the UDP transport's framing.
-// ---------------------------------------------------------------------------
-
-/// First byte of every chunk datagram. Chosen to collide with neither a
-/// JSON control line (`{`) nor plausible length-prefix bytes, so a UDP
-/// endpoint can demultiplex handshake lines from frame chunks on the
-/// first byte.
-pub const DGRAM_MAGIC: u8 = 0xC7;
-
-/// Chunk header version; bumped if the layout ever changes.
-pub const DGRAM_VERSION: u8 = 1;
-
-/// Bytes of chunk header preceding each payload slice:
-/// `[magic][version][msg_id u32 LE][chunk u16 LE][count u16 LE]`.
-pub const DGRAM_HEADER_LEN: usize = 10;
-
-/// One parsed chunk header plus its payload slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Chunk<'a> {
-    /// Message this chunk belongs to (sender-scoped, monotonically
-    /// increasing so late duplicates of finished messages are cheap to
-    /// drop).
-    pub msg_id: u32,
-    /// This chunk's index in `0..count`.
-    pub index: u16,
-    /// Total chunks of the message.
-    pub count: u16,
-    /// The payload slice carried by this datagram.
-    pub payload: &'a [u8],
-}
-
-/// Cuts `payload` (one encoded frame) into datagrams of at most `mtu`
-/// bytes each, headers included. Every datagram carries
-/// [`DGRAM_HEADER_LEN`] bytes of header plus a payload slice; all slices
-/// but the last are equal-sized.
-///
-/// # Panics
-///
-/// Panics if `mtu` cannot fit a header plus one payload byte, if the
-/// payload is empty, or if the payload needs more than `u16::MAX` chunks
-/// (far beyond [`MAX_FRAME`] at any sane MTU).
-#[must_use]
-pub fn chunk_message(msg_id: u32, payload: &[u8], mtu: usize) -> Vec<Vec<u8>> {
-    assert!(mtu > DGRAM_HEADER_LEN, "mtu must exceed the chunk header");
-    assert!(!payload.is_empty(), "empty datagram payload");
-    let slice = mtu - DGRAM_HEADER_LEN;
-    let count = payload.len().div_ceil(slice);
-    assert!(count <= usize::from(u16::MAX), "payload needs too many chunks");
-    payload
-        .chunks(slice)
-        .enumerate()
-        .map(|(i, part)| {
-            let mut d = Vec::with_capacity(DGRAM_HEADER_LEN + part.len());
-            d.push(DGRAM_MAGIC);
-            d.push(DGRAM_VERSION);
-            d.extend_from_slice(&msg_id.to_le_bytes());
-            d.extend_from_slice(&(i as u16).to_le_bytes());
-            d.extend_from_slice(&(count as u16).to_le_bytes());
-            d.extend_from_slice(part);
-            d
-        })
-        .collect()
-}
-
-/// Parses one datagram's chunk header.
-///
-/// # Errors
-///
-/// Describes the malformed header (wrong magic/version, empty payload,
-/// index out of range).
-pub fn parse_chunk(datagram: &[u8]) -> Result<Chunk<'_>, String> {
-    if datagram.len() <= DGRAM_HEADER_LEN {
-        return Err("datagram shorter than chunk header".to_string());
-    }
-    if datagram[0] != DGRAM_MAGIC {
-        return Err("bad chunk magic".to_string());
-    }
-    if datagram[1] != DGRAM_VERSION {
-        return Err(format!("unsupported chunk version {}", datagram[1]));
-    }
-    let msg_id = u32::from_le_bytes([datagram[2], datagram[3], datagram[4], datagram[5]]);
-    let index = u16::from_le_bytes([datagram[6], datagram[7]]);
-    let count = u16::from_le_bytes([datagram[8], datagram[9]]);
-    if count == 0 {
-        return Err("zero-chunk message".to_string());
-    }
-    if index >= count {
-        return Err(format!("chunk index {index} out of range 0..{count}"));
-    }
-    Ok(Chunk { msg_id, index, count, payload: &datagram[DGRAM_HEADER_LEN..] })
-}
-
-/// Reassembles chunked messages from one sender, tolerating reordering
-/// and duplication. A message completes only when every chunk `0..count`
-/// has arrived with consistent sizing; anything inconsistent drops the
-/// whole message — a lost or corrupted chunk can delay a frame or kill
-/// it, but can never surface a corrupt one.
-///
-/// Partially received messages are bounded: at most `max_pending`
-/// in-flight messages are buffered, evicting the oldest (a message whose
-/// middle chunk was lost eventually falls out instead of leaking).
-#[derive(Debug)]
-pub struct Reassembler {
-    max_pending: usize,
-    pending: HashMap<u32, Partial>,
-    /// Insertion order for eviction.
-    order: VecDeque<u32>,
-    /// Recently completed message ids: late duplicates of a finished
-    /// message must not deliver it twice (or re-open a partial).
-    completed: VecDeque<u32>,
-    /// Messages dropped by eviction or inconsistency (for telemetry).
-    dropped: u64,
-}
-
-/// How many finished message ids [`Reassembler`] remembers for duplicate
-/// suppression.
-const COMPLETED_MEMORY: usize = 64;
-
-#[derive(Debug)]
-struct Partial {
-    count: u16,
-    received: u16,
-    /// Chunk payloads by index (`None` = not yet arrived).
-    chunks: Vec<Option<Vec<u8>>>,
-    bytes: usize,
-}
-
-impl Reassembler {
-    /// A reassembler buffering at most `max_pending` in-flight messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_pending == 0`.
-    #[must_use]
-    pub fn new(max_pending: usize) -> Self {
-        assert!(max_pending > 0, "reassembler needs at least one slot");
-        Reassembler {
-            max_pending,
-            pending: HashMap::new(),
-            order: VecDeque::new(),
-            completed: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Messages dropped so far (evicted while incomplete, or killed by an
-    /// inconsistent chunk).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// In-flight (incomplete) messages currently buffered.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Feeds one datagram. Returns the completed message payload when
-    /// this chunk was the last missing piece, `None` while the message is
-    /// still incomplete (or the chunk was a duplicate).
-    ///
-    /// # Errors
-    ///
-    /// Describes a malformed or inconsistent chunk; an inconsistency also
-    /// drops the whole message it belonged to (never yielding a frame
-    /// assembled from conflicting pieces).
-    pub fn accept(&mut self, datagram: &[u8]) -> Result<Option<Vec<u8>>, String> {
-        let chunk = parse_chunk(datagram)?;
-        if self.completed.contains(&chunk.msg_id) {
-            return Ok(None); // late duplicate of a finished message
-        }
-        if !self.pending.contains_key(&chunk.msg_id) {
-            if chunk.count == 1 {
-                // Single-chunk fast path: no buffering at all.
-                self.note_completed(chunk.msg_id);
-                return Ok(Some(chunk.payload.to_vec()));
-            }
-            while self.pending.len() >= self.max_pending {
-                if let Some(oldest) = self.order.pop_front() {
-                    if self.pending.remove(&oldest).is_some() {
-                        self.dropped += 1;
-                    }
-                } else {
-                    break;
-                }
-            }
-            self.pending.insert(
-                chunk.msg_id,
-                Partial {
-                    count: chunk.count,
-                    received: 0,
-                    chunks: vec![None; usize::from(chunk.count)],
-                    bytes: 0,
-                },
-            );
-            self.order.push_back(chunk.msg_id);
-        }
-        let partial = self.pending.get_mut(&chunk.msg_id).expect("just ensured");
-        if partial.count != chunk.count {
-            self.kill(chunk.msg_id);
-            return Err("chunk count changed mid-message".to_string());
-        }
-        let slot = &mut partial.chunks[usize::from(chunk.index)];
-        if let Some(existing) = slot {
-            if existing.as_slice() != chunk.payload {
-                self.kill(chunk.msg_id);
-                return Err("duplicate chunk with different payload".to_string());
-            }
-            return Ok(None); // benign duplicate
-        }
-        partial.bytes += chunk.payload.len();
-        if partial.bytes > MAX_FRAME as usize + DGRAM_HEADER_LEN {
-            self.kill(chunk.msg_id);
-            return Err("reassembled message exceeds MAX_FRAME".to_string());
-        }
-        *slot = Some(chunk.payload.to_vec());
-        partial.received += 1;
-        if partial.received < partial.count {
-            return Ok(None);
-        }
-        let done = self.pending.remove(&chunk.msg_id).expect("complete");
-        self.order.retain(|id| *id != chunk.msg_id);
-        self.note_completed(chunk.msg_id);
-        let mut payload = Vec::with_capacity(done.bytes);
-        for part in done.chunks {
-            payload.extend_from_slice(&part.expect("all chunks received"));
-        }
-        Ok(Some(payload))
-    }
-
-    fn note_completed(&mut self, msg_id: u32) {
-        if self.completed.len() >= COMPLETED_MEMORY {
-            self.completed.pop_front();
-        }
-        self.completed.push_back(msg_id);
-    }
-
-    fn kill(&mut self, msg_id: u32) {
-        if self.pending.remove(&msg_id).is_some() {
-            self.dropped += 1;
-        }
-        self.order.retain(|id| *id != msg_id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
     use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+
+    const CTX: TraceContext = TraceContext { trace: 0xDEAD, span: 0xBEEF };
+
+    /// Every `(ctx, window_base)` combination a frame can carry.
+    const FLAG_CASES: [(Option<TraceContext>, Option<u32>); 4] =
+        [(None, None), (Some(CTX), None), (None, Some(5)), (Some(CTX), Some(9))];
 
     fn packet(generation: u32, payload_len: usize) -> CodedPacket {
         CodedPacket::new(
@@ -548,10 +301,7 @@ mod tests {
     fn message_decode_round_trips_every_flag_combination() {
         let pool = BufPool::default();
         let p = packet(7, 24);
-        let ctx = TraceContext { trace: 0xDEAD, span: 0xBEEF };
-        for (c, b) in
-            [(None, None), (Some(ctx), None), (None, Some(5u32)), (Some(ctx), Some(9u32))]
-        {
+        for (c, b) in FLAG_CASES {
             let bytes = encode_frame_tagged(&p, c, b);
             let (got, got_ctx, got_base) = decode_frame_message(&bytes, &pool).unwrap();
             assert_eq!(got, p);
@@ -588,139 +338,55 @@ mod tests {
         assert_eq!(seen, vec![(0, Some(0)), (1, Some(1)), (2, Some(2)), (3, Some(3))]);
     }
 
-    #[test]
-    fn chunk_round_trip_across_random_sizes_reorder_and_duplication() {
-        // Property test: any payload size, any delivery order, any
-        // duplication — the reassembled message is byte-identical.
-        let mut rng = StdRng::seed_from_u64(0x0DD5);
-        for case in 0..200 {
-            let len = rng.random_range(1..=4096);
-            let mtu = rng.random_range(DGRAM_HEADER_LEN + 1..=1400);
-            let payload: Vec<u8> = (0..len).map(|_| rng.random()).collect();
-            let mut datagrams = chunk_message(case, &payload, mtu);
-            // Duplicate a random subset, then shuffle the delivery order.
-            let dups: Vec<Vec<u8>> = datagrams
-                .iter()
-                .filter(|_| rng.random_bool(0.3))
-                .cloned()
-                .collect();
-            datagrams.extend(dups);
-            datagrams.shuffle(&mut rng);
-
-            let mut reasm = Reassembler::new(8);
-            let mut done = None;
-            for d in &datagrams {
-                if let Some(msg) = reasm.accept(d).expect("chunks are well-formed") {
-                    assert!(done.is_none(), "message completed twice");
-                    done = Some(msg);
-                }
-            }
-            assert_eq!(done.as_deref(), Some(payload.as_slice()), "case {case} corrupted");
-        }
-    }
-
-    #[test]
-    fn lost_middle_chunk_never_yields_a_frame() {
-        let mut rng = StdRng::seed_from_u64(0x1055);
-        for case in 0..100 {
-            let payload: Vec<u8> = (0..rng.random_range(300..2000)).map(|_| rng.random()).collect();
-            let mut datagrams = chunk_message(case, &payload, 128);
-            assert!(datagrams.len() >= 3, "need a middle chunk to lose");
-            // Lose one non-edge chunk; deliver the rest in random order.
-            let lost = rng.random_range(1..datagrams.len() - 1);
-            datagrams.remove(lost);
-            datagrams.shuffle(&mut rng);
-            let mut reasm = Reassembler::new(8);
-            for d in &datagrams {
-                assert!(
-                    reasm.accept(d).expect("well-formed").is_none(),
-                    "incomplete message must never complete"
-                );
-            }
-            assert_eq!(reasm.pending(), 1, "the torso stays pending until evicted");
-        }
-    }
-
-    #[test]
-    fn eviction_bounds_pending_and_counts_drops() {
-        let mut reasm = Reassembler::new(2);
-        // Three two-chunk messages, each missing its second chunk.
-        for id in 0..3u32 {
-            let payload = vec![id as u8; 200];
-            let datagrams = chunk_message(id, &payload, 128);
-            assert!(reasm.accept(&datagrams[0]).unwrap().is_none());
-        }
-        assert_eq!(reasm.pending(), 2, "oldest evicted");
-        assert_eq!(reasm.dropped(), 1);
-        // The evicted message's late chunk re-opens a fresh partial; it
-        // still cannot complete from one chunk.
-        let late = chunk_message(0, &vec![0u8; 200], 128);
-        assert!(reasm.accept(&late[1]).unwrap().is_none());
-    }
-
-    #[test]
-    fn conflicting_duplicate_kills_the_message() {
-        let payload = vec![7u8; 300];
-        let datagrams = chunk_message(9, &payload, 128);
-        let mut reasm = Reassembler::new(4);
-        assert!(reasm.accept(&datagrams[0]).unwrap().is_none());
-        // Same msg_id and index, different payload bytes.
-        let mut evil = datagrams[0].clone();
-        let last = evil.len() - 1;
-        evil[last] ^= 0xFF;
-        assert!(reasm.accept(&evil).is_err());
-        // The remaining real chunks can no longer complete the message.
-        let mut completed = false;
-        for d in &datagrams[1..] {
-            if reasm.accept(d).unwrap().is_some() {
-                completed = true;
+    /// Feeds `bytes` to every decoder of untrusted input. Each call must
+    /// come back `Ok` or `Err` — a panic fails the test — and none may
+    /// size a buffer past [`MAX_FRAME`].
+    fn feed_every_decoder(bytes: &[u8], pool: &BufPool, scratch: &mut Vec<u8>) {
+        if let Some(head) = bytes.first_chunk::<4>() {
+            if let Ok(prefix) = parse_prefix(u32::from_le_bytes(*head)) {
+                assert!(prefix.len <= MAX_FRAME as usize, "prefix admits {}", prefix.len);
             }
         }
-        assert!(!completed, "a poisoned message must never complete");
-        assert!(reasm.dropped() >= 1);
+        if let Ok((_, used)) = decode_frame_prefix(bytes, pool) {
+            assert!(used <= bytes.len(), "consumed {used} of {}", bytes.len());
+        }
+        let _ = decode_frame_message(bytes, pool);
+        let text = String::from_utf8_lossy(bytes);
+        let _ = parse_data_hello(&text);
+        let _ = Subscribe::parse_json_line(&text);
+        let mut cursor = std::io::Cursor::new(bytes);
+        let _ = crate::framing::read_frame_tagged_pooled(&mut cursor, pool, scratch);
+        assert!(scratch.len() <= MAX_FRAME as usize, "scratch grew to {}", scratch.len());
     }
 
     #[test]
-    fn malformed_chunks_rejected() {
-        let mut reasm = Reassembler::new(4);
-        assert!(reasm.accept(&[]).is_err());
-        assert!(reasm.accept(&[DGRAM_MAGIC; 5]).is_err());
-        let good = &chunk_message(1, &[1, 2, 3], 64)[0];
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'{';
-        assert!(reasm.accept(&bad_magic).is_err());
-        let mut bad_version = good.clone();
-        bad_version[1] = 99;
-        assert!(reasm.accept(&bad_version).is_err());
-        let mut bad_index = good.clone();
-        bad_index[6] = 7; // index 7 of count 1
-        assert!(reasm.accept(&bad_index).is_err());
-    }
-
-    #[test]
-    fn chunked_frames_interop_with_stream_framing() {
-        // Mixed-version interop: the datagram payload IS the stream
-        // frame. Reassembling chunks and feeding the bytes to the
-        // message decoder must agree with what the stream writer
-        // produced, for every extension combination.
+    fn untrusted_bytes_never_panic_a_decoder() {
+        let mut rng = StdRng::seed_from_u64(0xF022);
         let pool = BufPool::default();
-        let p = packet(3, 900);
-        let ctx = TraceContext { trace: 42, span: 43 };
-        for (c, b) in
-            [(None, None), (Some(ctx), None), (None, Some(2u32)), (Some(ctx), Some(8u32))]
-        {
-            let frame = encode_frame_tagged(&p, c, b);
-            let mut reasm = Reassembler::new(4);
-            let mut done = None;
-            for d in chunk_message(77, &frame, 256) {
-                if let Some(msg) = reasm.accept(&d).unwrap() {
-                    done = Some(msg);
+        let mut scratch = Vec::new();
+
+        // (i) Arbitrary byte strings.
+        for _ in 0..4000 {
+            let len = rng.random_range(0..=96);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+            feed_every_decoder(&bytes, &pool, &mut scratch);
+        }
+
+        for (c, b) in FLAG_CASES {
+            let frame = encode_frame_tagged(&packet(3, 40), c, b);
+            // (ii) Valid frames with one to three bytes flipped.
+            for _ in 0..500 {
+                let mut bent = frame.clone();
+                for _ in 0..rng.random_range(1..=3) {
+                    let at = rng.random_range(0..bent.len());
+                    bent[at] ^= rng.random_range(1..=255u8);
                 }
+                feed_every_decoder(&bent, &pool, &mut scratch);
             }
-            let done = done.expect("reassembled");
-            assert_eq!(done, frame, "reassembly must reproduce the stream bytes");
-            let (got, got_ctx, got_base) = decode_frame_message(&done, &pool).unwrap();
-            assert_eq!((got, got_ctx, got_base), (p.clone(), c, b));
+            // (iii) Valid frames truncated at every length.
+            for cut in 0..frame.len() {
+                feed_every_decoder(&frame[..cut], &pool, &mut scratch);
+            }
         }
     }
 

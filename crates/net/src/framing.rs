@@ -1,12 +1,12 @@
 //! Data-plane framing over blocking streams: the thin I/O shell around
 //! the pure wire format in [`crate::core::wire`].
 //!
-//! All byte layouts — length prefixes, extension flags, handshake lines,
-//! datagram chunking — are defined (and re-exported from) the sans-io
-//! core; this module only adds the socket concerns: blocking reads and
-//! writes, read deadlines, stop-flag polling, and clean-EOF detection.
+//! All byte layouts — length prefixes, extension flags, handshake lines
+//! — are defined (and re-exported from) the sans-io core; this module
+//! only adds the socket concerns: blocking reads and writes, read
+//! deadlines, stop-flag polling, and clean-EOF detection.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -41,21 +41,6 @@ pub fn write_resync_nudge(mut stream: &TcpStream) -> io::Result<()> {
     line.push('\n');
     stream.write_all(line.as_bytes())?;
     stream.flush()
-}
-
-/// Reads the subscribe line from a freshly accepted data connection,
-/// blocking until a full line arrives (respecting the stream's read
-/// timeout, if any).
-///
-/// # Errors
-///
-/// Propagates socket and parse errors.
-pub fn read_subscribe(stream: &TcpStream) -> io::Result<Subscribe> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut buf = String::new();
-    reader.read_line(&mut buf)?;
-    Subscribe::parse_json_line(&buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Reads the subscribe line without ever blocking longer than ~100 ms at a
@@ -140,69 +125,10 @@ pub fn read_data_hello_deadline(
     }
 }
 
-/// Writes one length-prefixed packet frame.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_frame(stream: &mut impl Write, packet: &CodedPacket) -> io::Result<()> {
-    let mut scratch = Vec::new();
-    write_frame_into(stream, packet, &mut scratch)
-}
-
-/// Like [`write_frame`], assembling the frame in a caller-owned scratch
-/// buffer so a serving loop allocates nothing per packet.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_frame_into(
-    stream: &mut impl Write,
-    packet: &CodedPacket,
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    scratch.clear();
-    wire::encode_frame_tagged_into(scratch, packet, None, None);
-    stream.write_all(scratch)?;
-    stream.flush()
-}
-
-/// Writes one frame carrying an optional trace context.
-///
-/// With `ctx: None` the output is byte-identical to [`write_frame`];
-/// with `Some`, the length prefix gains [`TRACE_FLAG`] and the body is
-/// `[16-byte context][packet wire bytes]`.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_frame_ctx(
-    stream: &mut impl Write,
-    packet: &CodedPacket,
-    ctx: Option<TraceContext>,
-) -> io::Result<()> {
-    let mut scratch = Vec::new();
-    write_frame_ctx_into(stream, packet, ctx, &mut scratch)
-}
-
-/// Like [`write_frame_ctx`], assembling the frame in a caller-owned
-/// scratch buffer so a serving loop allocates nothing per packet.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_frame_ctx_into(
-    stream: &mut impl Write,
-    packet: &CodedPacket,
-    ctx: Option<TraceContext>,
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    write_frame_tagged_into(stream, packet, ctx, None, scratch)
-}
-
 /// Writes one frame carrying any combination of the optional extensions:
 /// a trace context ([`TRACE_FLAG`]) and a window base ([`WINDOW_FLAG`]).
-/// With both `None` the output is byte-identical to [`write_frame`].
+/// With both `None` the output is the original unflagged format: the
+/// length prefix followed by the packet's wire bytes.
 ///
 /// # Errors
 ///
@@ -218,52 +144,6 @@ pub fn write_frame_tagged_into(
     wire::encode_frame_tagged_into(scratch, packet, ctx, window_base);
     stream.write_all(scratch)?;
     stream.flush()
-}
-
-/// Reads one frame that may carry a trace context (see [`TRACE_FLAG`]),
-/// parsing the packet into pool-recycled buffers. `Ok(None)` signals
-/// clean EOF at a frame boundary; unflagged frames return `(packet,
-/// None)` exactly as [`read_frame_pooled`] would.
-///
-/// This is the pre-window reader: a [`WINDOW_FLAG`]-tagged frame is
-/// rejected as a bad length (the mixed-version contract — see
-/// [`read_frame_tagged_pooled`] for the reader that understands both
-/// extensions).
-///
-/// # Errors
-///
-/// Propagates socket errors; corrupt frames map to `InvalidData`.
-pub fn read_frame_ctx_pooled(
-    stream: &mut impl Read,
-    pool: &BufPool,
-    scratch: &mut Vec<u8>,
-) -> io::Result<Option<(CodedPacket, Option<TraceContext>)>> {
-    let mut len_buf = [0u8; 4];
-    if !read_exact_or_eof(stream, &mut len_buf)? {
-        return Ok(None);
-    }
-    let raw = u32::from_le_bytes(len_buf);
-    let traced = raw & TRACE_FLAG != 0;
-    let len = raw & !TRACE_FLAG;
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame length"));
-    }
-    if traced && len as usize <= TraceContext::WIRE_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "traced frame too short"));
-    }
-    scratch.clear();
-    scratch.resize(len as usize, 0);
-    stream.read_exact(scratch)?;
-    let (ctx, packet_bytes) = if traced {
-        let mut wire = [0u8; TraceContext::WIRE_LEN];
-        wire.copy_from_slice(&scratch[..TraceContext::WIRE_LEN]);
-        (Some(TraceContext::from_wire(&wire)), &scratch[TraceContext::WIRE_LEN..])
-    } else {
-        (None, &scratch[..])
-    };
-    CodedPacket::from_wire_pooled(packet_bytes, pool)
-        .map(|p| Some((p, ctx)))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 pub use crate::core::wire::TaggedFrame;
@@ -297,58 +177,6 @@ pub fn read_frame_tagged_pooled(
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Reads one frame. `Ok(None)` signals clean EOF at a frame boundary.
-///
-/// # Errors
-///
-/// Propagates socket errors; corrupt frames map to `InvalidData`.
-pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<CodedPacket>> {
-    let mut body = Vec::new();
-    match read_frame_body(stream, &mut body)? {
-        false => Ok(None),
-        true => CodedPacket::from_wire(&body)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-    }
-}
-
-/// Like [`read_frame`], reusing a caller-owned scratch buffer for the frame
-/// body and parsing the packet into pool-recycled buffers — the upstream
-/// receive loop allocates nothing at steady state.
-///
-/// # Errors
-///
-/// Propagates socket errors; corrupt frames map to `InvalidData`.
-pub fn read_frame_pooled(
-    stream: &mut impl Read,
-    pool: &BufPool,
-    scratch: &mut Vec<u8>,
-) -> io::Result<Option<CodedPacket>> {
-    match read_frame_body(stream, scratch)? {
-        false => Ok(None),
-        true => CodedPacket::from_wire_pooled(scratch, pool)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-    }
-}
-
-/// Reads one length prefix + body into `body` (resized in place). Returns
-/// `false` on clean EOF at a frame boundary.
-fn read_frame_body(stream: &mut impl Read, body: &mut Vec<u8>) -> io::Result<bool> {
-    let mut len_buf = [0u8; 4];
-    if !read_exact_or_eof(stream, &mut len_buf)? {
-        return Ok(false);
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame length"));
-    }
-    body.clear();
-    body.resize(len as usize, 0);
-    stream.read_exact(body)?;
-    Ok(true)
-}
-
 /// Reads exactly `buf.len()` bytes; returns `false` on EOF *before the
 /// first byte* (a clean close), errors on EOF mid-buffer.
 fn read_exact_or_eof(stream: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
@@ -375,237 +203,118 @@ mod tests {
     use curtain_overlay::NodeId;
     use std::net::TcpListener;
 
+    const CTX: TraceContext = TraceContext { trace: 0xDEAD, span: 0xBEEF };
+
+    /// Every `(ctx, window_base)` combination the one writer can emit.
+    const FLAG_CASES: [(Option<TraceContext>, Option<u32>); 4] =
+        [(None, None), (Some(CTX), None), (None, Some(5)), (Some(CTX), Some(9))];
+
     #[test]
-    fn frame_round_trip_in_memory() {
-        let p = CodedPacket::new(0, vec![1, 2, 3], Bytes::from(vec![9u8; 64]));
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &p).unwrap();
-        let mut cursor = io::Cursor::new(buf);
-        let got = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(got, p);
-        // Clean EOF after the frame.
-        assert!(read_frame(&mut cursor).unwrap().is_none());
+    fn frame_round_trips_every_flag_combination() {
+        let pool = BufPool::default();
+        let mut scratch = Vec::new();
+        let p = CodedPacket::new(7, vec![1, 2, 3], Bytes::from(vec![4u8; 24]));
+        for (ctx, base) in FLAG_CASES {
+            let mut buf = Vec::new();
+            write_frame_tagged_into(&mut buf, &p, ctx, base, &mut scratch).unwrap();
+            let mut cursor = io::Cursor::new(buf);
+            let got = read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap().unwrap();
+            assert_eq!(got, (p.clone(), ctx, base));
+            // Clean EOF after the frame.
+            assert!(read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap().is_none());
+        }
     }
 
     #[test]
-    fn pooled_frame_round_trip_reuses_buffers() {
+    fn pooled_round_trip_reuses_buffers() {
         let pool = BufPool::default();
         let mut scratch = Vec::new();
         let mut wire_scratch = Vec::new();
         let mut buf = Vec::new();
         let p = CodedPacket::new(1, vec![4, 5, 6], vec![7u8; 48]);
-        write_frame_into(&mut buf, &p, &mut wire_scratch).unwrap();
-        write_frame_into(&mut buf, &p, &mut wire_scratch).unwrap();
+        write_frame_tagged_into(&mut buf, &p, None, None, &mut wire_scratch).unwrap();
+        write_frame_tagged_into(&mut buf, &p, None, None, &mut wire_scratch).unwrap();
         let mut cursor = io::Cursor::new(buf);
-        let first = read_frame_pooled(&mut cursor, &pool, &mut scratch).unwrap().unwrap();
+        let (first, _, _) =
+            read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap().unwrap();
         assert_eq!(first, p);
         drop(first);
-        let second = read_frame_pooled(&mut cursor, &pool, &mut scratch).unwrap().unwrap();
+        let (second, _, _) =
+            read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap().unwrap();
         assert_eq!(second, p);
         assert!(pool.stats().hits >= 1, "second frame reuses the first frame's buffers");
-        assert!(read_frame_pooled(&mut cursor, &pool, &mut scratch).unwrap().is_none());
-    }
-
-    #[test]
-    fn write_frame_into_matches_write_frame() {
-        let p = CodedPacket::new(2, vec![9, 9], vec![1u8; 32]);
-        let mut plain = Vec::new();
-        write_frame(&mut plain, &p).unwrap();
-        let mut reused = Vec::new();
-        let mut scratch = vec![0xFF; 512]; // dirty scratch must not leak
-        write_frame_into(&mut reused, &p, &mut scratch).unwrap();
-        assert_eq!(plain, reused);
-    }
-
-    #[test]
-    fn truncated_frame_is_an_error() {
-        let p = CodedPacket::new(0, vec![1], Bytes::from(vec![5u8; 8]));
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &p).unwrap();
-        buf.truncate(buf.len() - 3);
-        let mut cursor = io::Cursor::new(buf);
-        assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn zero_length_frame_rejected() {
-        let mut cursor = io::Cursor::new(vec![0u8, 0, 0, 0]);
-        assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn oversize_frame_rejected() {
-        let mut cursor = io::Cursor::new((MAX_FRAME + 1).to_le_bytes().to_vec());
-        assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn multiple_frames_stream() {
-        let mut buf = Vec::new();
-        for i in 0..5u8 {
-            let p = CodedPacket::new(0, vec![i + 1, 0], Bytes::from(vec![i; 16]));
-            write_frame(&mut buf, &p).unwrap();
-        }
-        let mut cursor = io::Cursor::new(buf);
-        let mut count = 0;
-        while let Some(p) = read_frame(&mut cursor).unwrap() {
-            assert_eq!(p.payload()[0], count);
-            count += 1;
-        }
-        assert_eq!(count, 5);
-    }
-
-    #[test]
-    fn ctx_frame_round_trips_and_plain_frames_interoperate() {
-        let pool = BufPool::default();
-        let mut scratch = Vec::new();
-        let p = CodedPacket::new(3, vec![1, 2, 3], Bytes::from(vec![8u8; 32]));
-        let ctx = TraceContext { trace: 0xAAAA_BBBB, span: 0x1111_2222 };
-
-        let mut buf = Vec::new();
-        write_frame_ctx(&mut buf, &p, Some(ctx)).unwrap();
-        write_frame_ctx(&mut buf, &p, None).unwrap();
-        write_frame(&mut buf, &p).unwrap();
-
-        let mut cursor = io::Cursor::new(buf);
-        let (got, got_ctx) = read_frame_ctx_pooled(&mut cursor, &pool, &mut scratch)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, p);
-        assert_eq!(got_ctx, Some(ctx));
-        // Untraced frame through the ctx-aware reader: packet, no ctx.
-        let (got, got_ctx) = read_frame_ctx_pooled(&mut cursor, &pool, &mut scratch)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, p);
-        assert_eq!(got_ctx, None);
-        // A frame written by the pre-tracing writer parses identically.
-        let (got, got_ctx) = read_frame_ctx_pooled(&mut cursor, &pool, &mut scratch)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, p);
-        assert_eq!(got_ctx, None);
-        assert!(read_frame_ctx_pooled(&mut cursor, &pool, &mut scratch).unwrap().is_none());
-    }
-
-    #[test]
-    fn untraced_ctx_frame_is_byte_identical_to_plain_frame() {
-        let p = CodedPacket::new(0, vec![5, 6], Bytes::from(vec![1u8; 16]));
-        let mut plain = Vec::new();
-        write_frame(&mut plain, &p).unwrap();
-        let mut via_ctx = Vec::new();
-        write_frame_ctx(&mut via_ctx, &p, None).unwrap();
-        assert_eq!(plain, via_ctx);
-    }
-
-    #[test]
-    fn pre_tracing_reader_rejects_flagged_frame_instead_of_misparsing() {
-        let p = CodedPacket::new(0, vec![5, 6], Bytes::from(vec![1u8; 16]));
-        let ctx = TraceContext { trace: 1, span: 2 };
-        let mut buf = Vec::new();
-        write_frame_ctx(&mut buf, &p, Some(ctx)).unwrap();
-        let mut cursor = io::Cursor::new(buf);
-        let err = read_frame(&mut cursor).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-    }
-
-    #[test]
-    fn traced_frame_shorter_than_its_context_rejected() {
-        // Flagged length of 8: claims a context but can't hold one.
-        let mut wire = ((8u32) | TRACE_FLAG).to_le_bytes().to_vec();
-        wire.extend_from_slice(&[0u8; 8]);
-        let pool = BufPool::default();
-        let mut scratch = Vec::new();
-        let mut cursor = io::Cursor::new(wire);
-        let err = read_frame_ctx_pooled(&mut cursor, &pool, &mut scratch).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-    }
-
-    #[test]
-    fn tagged_frame_round_trips_every_flag_combination() {
-        let pool = BufPool::default();
-        let mut scratch = Vec::new();
-        let p = CodedPacket::new(7, vec![1, 2, 3], Bytes::from(vec![4u8; 24]));
-        let ctx = TraceContext { trace: 0xDEAD, span: 0xBEEF };
-        let cases =
-            [(None, None), (Some(ctx), None), (None, Some(5u32)), (Some(ctx), Some(9u32))];
-
-        let mut buf = Vec::new();
-        for (c, b) in cases {
-            write_frame_tagged_into(&mut buf, &p, c, b, &mut scratch).unwrap();
-        }
-        let mut cursor = io::Cursor::new(buf);
-        for (c, b) in cases {
-            let (got, got_ctx, got_base) =
-                read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap().unwrap();
-            assert_eq!(got, p);
-            assert_eq!(got_ctx, c);
-            assert_eq!(got_base, b);
-        }
         assert!(read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap().is_none());
     }
 
     #[test]
-    fn untagged_tagged_frame_is_byte_identical_to_plain_frame() {
-        let p = CodedPacket::new(0, vec![5, 6], Bytes::from(vec![1u8; 16]));
-        let mut plain = Vec::new();
-        write_frame(&mut plain, &p).unwrap();
-        let mut via_tagged = Vec::new();
-        let mut scratch = Vec::new();
-        write_frame_tagged_into(&mut via_tagged, &p, None, None, &mut scratch).unwrap();
-        assert_eq!(plain, via_tagged);
+    fn unflagged_frame_is_length_prefix_plus_packet_wire_bytes() {
+        // The format every pre-extension node speaks; it must never drift.
+        let p = CodedPacket::new(2, vec![9, 9], vec![1u8; 32]);
+        let wire = p.to_wire();
+        let mut want = (wire.len() as u32).to_le_bytes().to_vec();
+        want.extend_from_slice(&wire);
+        let mut got = Vec::new();
+        let mut scratch = vec![0xFF; 512]; // dirty scratch must not leak
+        write_frame_tagged_into(&mut got, &p, None, None, &mut scratch).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn pre_window_readers_reject_window_flagged_frame_instead_of_misparsing() {
-        // The mixed-version contract: a windowed sender talking to a
-        // pre-window receiver produces a clean framing error, never a
-        // misparsed packet.
-        let p = CodedPacket::new(0, vec![5, 6], Bytes::from(vec![1u8; 16]));
+    fn multiple_frames_stream_with_mixed_flags() {
+        let pool = BufPool::default();
+        let mut scratch = Vec::new();
         let mut buf = Vec::new();
-        let mut scratch = Vec::new();
-        write_frame_tagged_into(&mut buf, &p, None, Some(3), &mut scratch).unwrap();
-
-        let pool = BufPool::default();
-        let mut cursor = io::Cursor::new(buf.clone());
-        let err = read_frame(&mut cursor).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        for i in 0..8u8 {
+            let p = CodedPacket::new(0, vec![i + 1, 0], Bytes::from(vec![i; 16]));
+            let (ctx, base) = FLAG_CASES[usize::from(i) % FLAG_CASES.len()];
+            write_frame_tagged_into(&mut buf, &p, ctx, base, &mut scratch).unwrap();
+        }
         let mut cursor = io::Cursor::new(buf);
-        let err = read_frame_ctx_pooled(&mut cursor, &pool, &mut scratch).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let mut count = 0u8;
+        while let Some((p, ctx, base)) =
+            read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap()
+        {
+            assert_eq!(p.payload()[0], count);
+            assert_eq!((ctx, base), FLAG_CASES[usize::from(count) % FLAG_CASES.len()]);
+            count += 1;
+        }
+        assert_eq!(count, 8);
     }
 
     #[test]
-    fn tagged_reader_accepts_pre_window_senders() {
-        // The other direction of the mixed-version contract: the new
-        // reader parses plain and trace-only frames unchanged.
+    fn truncated_frame_is_an_error_for_every_flag_combination() {
         let pool = BufPool::default();
         let mut scratch = Vec::new();
-        let p = CodedPacket::new(2, vec![8, 9], Bytes::from(vec![6u8; 20]));
-        let ctx = TraceContext { trace: 11, span: 22 };
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &p).unwrap();
-        write_frame_ctx(&mut buf, &p, Some(ctx)).unwrap();
-        let mut cursor = io::Cursor::new(buf);
-        let (got, got_ctx, got_base) =
-            read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap().unwrap();
-        assert_eq!((got, got_ctx, got_base), (p.clone(), None, None));
-        let (got, got_ctx, got_base) =
-            read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap().unwrap();
-        assert_eq!((got, got_ctx, got_base), (p, Some(ctx), None));
+        let p = CodedPacket::new(0, vec![1], Bytes::from(vec![5u8; 8]));
+        for (ctx, base) in FLAG_CASES {
+            let mut buf = Vec::new();
+            write_frame_tagged_into(&mut buf, &p, ctx, base, &mut scratch).unwrap();
+            buf.truncate(buf.len() - 3);
+            let err = read_frame_tagged_pooled(&mut io::Cursor::new(buf), &pool, &mut scratch)
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        }
     }
 
     #[test]
-    fn tagged_frame_shorter_than_its_extensions_rejected() {
-        // Both flags claim 20 extension bytes; a length of 20 leaves no
-        // room for a packet.
-        let mut wire = ((20u32) | TRACE_FLAG | WINDOW_FLAG).to_le_bytes().to_vec();
-        wire.extend_from_slice(&[0u8; 20]);
+    fn bad_lengths_rejected_for_every_flag_combination() {
+        // Zero, oversize, and bodies too short to hold the extensions
+        // their flags claim (a length equal to the extension bytes leaves
+        // no room for a packet).
         let pool = BufPool::default();
         let mut scratch = Vec::new();
-        let mut cursor = io::Cursor::new(wire);
-        let err = read_frame_tagged_pooled(&mut cursor, &pool, &mut scratch).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        for (flags, ext_len) in
+            [(0, 0u32), (TRACE_FLAG, 16), (WINDOW_FLAG, 4), (TRACE_FLAG | WINDOW_FLAG, 20)]
+        {
+            for len in [0, ext_len, MAX_FRAME + 1] {
+                let mut wire = (len | flags).to_le_bytes().to_vec();
+                wire.resize(4 + ext_len as usize, 0);
+                let err =
+                    read_frame_tagged_pooled(&mut io::Cursor::new(wire), &pool, &mut scratch)
+                        .unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len {len} flags {flags:#x}");
+            }
+        }
     }
 
     #[test]
@@ -640,7 +349,8 @@ mod tests {
             w.flush().unwrap();
         }
         drop(client); // hard close mid-frame
-        let err = read_frame(&mut server).unwrap_err();
+        let err = read_frame_tagged_pooled(&mut server, &BufPool::default(), &mut Vec::new())
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
     }
 
@@ -653,7 +363,8 @@ mod tests {
             w.flush().unwrap();
         }
         drop(client);
-        let err = read_frame(&mut server).unwrap_err();
+        let err = read_frame_tagged_pooled(&mut server, &BufPool::default(), &mut Vec::new())
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
     }
 

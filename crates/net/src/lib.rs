@@ -108,5 +108,4 @@ pub use peer::{Peer, PeerConfig};
 pub use repair::{RepairBudget, RepairPolicy};
 pub use source::{PendingSource, Source};
 pub use standby::{Standby, StandbyOptions};
-pub use transport::TransportKind;
 pub use wal::{Wal, WalOptions, WalRecord, WalSourceInfo, WalStore};

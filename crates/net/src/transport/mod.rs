@@ -3,112 +3,14 @@
 //! The sans-io cores under [`crate::core`] define *what* the protocol
 //! does; the modules here define *where* the bytes go:
 //!
-//! * [`tcp`] — the original blocking, thread-per-connection TCP driver.
-//!   This is the default and is behavior-preserving: the `curtain_peer`/
-//!   `curtain_coordinator`/`curtain_source` bins and every pre-existing
-//!   soak run on it unchanged.
-//! * [`udp`] — a datagram backend: coded frames are cut into MTU-sized
-//!   chunks ([`crate::core::wire::chunk_message`]) and reassembled
-//!   loss-tolerantly on the far side.
+//! * [`tcp`] — the blocking, thread-per-connection TCP driver. This is
+//!   what the `curtain_peer`/`curtain_coordinator`/`curtain_source` bins
+//!   and every socket soak run on.
 //! * [`vnet`] — an in-process virtual network with a virtual clock,
 //!   per-link latency/loss/cut shaping, and deterministic seeded
 //!   scheduling. One OS process, thousands of real-protocol peers, the
 //!   same state machines that run over real sockets — this is what the
-//!   `e22` lab sweep drives.
-//!
-//! Selection mirrors the codec layer: `CURTAIN_TRANSPORT=tcp|udp|vnet`
-//! (see [`TransportKind::from_env`]), surfaced as `--transport` on the
-//! bins. The vnet is not dialable from a standalone bin — it only exists
-//! in-process — so the bins reject it with a pointer at `e22`.
+//!   `e22` lab sweep drives. It is constructed in-process, never dialed.
 
 pub mod tcp;
-pub mod udp;
 pub mod vnet;
-
-/// Which transport backend a session runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TransportKind {
-    /// Blocking TCP streams (the default; production-shaped).
-    #[default]
-    Tcp,
-    /// UDP datagrams with chunk/reassembly framing.
-    Udp,
-    /// The in-process deterministic virtual network.
-    Vnet,
-}
-
-impl TransportKind {
-    /// Parses the selector used on CLIs and in `CURTAIN_TRANSPORT`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<TransportKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "tcp" => Some(TransportKind::Tcp),
-            "udp" => Some(TransportKind::Udp),
-            "vnet" | "sim" => Some(TransportKind::Vnet),
-            _ => None,
-        }
-    }
-
-    /// Reads `CURTAIN_TRANSPORT` from the environment; unset or
-    /// unrecognised values fall back to [`TransportKind::Tcp`].
-    #[must_use]
-    pub fn from_env() -> TransportKind {
-        std::env::var("CURTAIN_TRANSPORT")
-            .ok()
-            .and_then(|v| TransportKind::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// The canonical selector string (`tcp`/`udp`/`vnet`) — used as the
-    /// `transport` label on telemetry.
-    #[must_use]
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TransportKind::Tcp => "tcp",
-            TransportKind::Udp => "udp",
-            TransportKind::Vnet => "vnet",
-        }
-    }
-}
-
-/// Resolves a bin-level transport selection: an explicit `--transport`
-/// flag wins over `CURTAIN_TRANSPORT`, which falls back to TCP.
-///
-/// # Errors
-///
-/// Returns a usage-style message for an unrecognised flag value.
-pub fn resolve(flag: Option<&str>) -> Result<TransportKind, String> {
-    match flag {
-        Some(value) => TransportKind::parse(value)
-            .ok_or_else(|| format!("unknown transport {value:?} (expected tcp, udp, or vnet)")),
-        None => Ok(TransportKind::from_env()),
-    }
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn selector_parses_and_round_trips() {
-        for kind in [TransportKind::Tcp, TransportKind::Udp, TransportKind::Vnet] {
-            assert_eq!(TransportKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(TransportKind::parse(" VNET "), Some(TransportKind::Vnet));
-        assert_eq!(TransportKind::parse("sim"), Some(TransportKind::Vnet));
-        assert_eq!(TransportKind::parse("carrier-pigeon"), None);
-        assert_eq!(TransportKind::default(), TransportKind::Tcp);
-    }
-
-    #[test]
-    fn explicit_flag_wins_and_bad_flags_error() {
-        assert_eq!(resolve(Some("udp")), Ok(TransportKind::Udp));
-        assert!(resolve(Some("smoke-signal")).unwrap_err().contains("smoke-signal"));
-    }
-}

@@ -14,8 +14,7 @@
 //!   [`crate::core::peer::LinkLiveness`]) run even on a silent link.
 //!
 //! Frames on a TCP stream use the length-prefixed stream framing from
-//! [`crate::framing`]; the datagram chunk format in
-//! [`crate::core::wire`] is the UDP backend's concern.
+//! [`crate::framing`].
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};

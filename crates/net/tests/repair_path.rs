@@ -10,6 +10,7 @@ use curtain_net::framing::{self, Subscribe};
 use curtain_net::repair::RepairPolicy;
 use curtain_net::{Coordinator, Peer, PeerConfig, PendingSource, Source};
 use curtain_overlay::{NodeId, OverlayConfig};
+use curtain_rlnc::BufPool;
 use curtain_telemetry::{MemorySink, SharedRecorder};
 
 const PACE: Duration = Duration::from_micros(150);
@@ -175,7 +176,9 @@ fn crash_joins_child_serving_threads() {
     let mut child = TcpStream::connect(peer.data_addr()).unwrap();
     framing::write_subscribe(&child, &Subscribe { node: NodeId(999), thread: 0 }).unwrap();
     child.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let first = framing::read_frame(&mut child).unwrap();
+    let first =
+        framing::read_frame_tagged_pooled(&mut child, &BufPool::default(), &mut Vec::new())
+            .unwrap();
     assert!(first.is_some(), "child subscription never served a frame");
     let child_deadline = std::time::Instant::now() + Duration::from_secs(5);
     while peer.active_children() == 0 && std::time::Instant::now() < child_deadline {
