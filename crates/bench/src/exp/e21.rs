@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use curtain_net::{
-    proto, Coordinator, Peer, Source, Standby, StandbyOptions, Wal, WalOptions, WalRecord,
-    WalStore,
+    proto, Coordinator, Peer, PeerConfig, Source, Standby, StandbyOptions, Wal, WalOptions,
+    WalRecord, WalStore,
 };
 use curtain_overlay::OverlayConfig;
 use curtain_telemetry::{MemorySink, SharedRecorder};
@@ -235,9 +235,11 @@ pub fn failover_drill(params: &FailoverParams, seed: u64) -> FailoverOutcome {
     let data = content(params.payload);
     let _source =
         Source::start_with_shape(addr, &data, 16, 128, PACE).expect("start source");
-    let peers: Vec<Peer> = (0..params.peers)
-        .map(|_| Peer::join_traced(addr, PACE, recorder.clone()).expect("peer join"))
-        .collect();
+    let join = || {
+        let config = PeerConfig { pace: PACE, recorder: recorder.clone(), ..PeerConfig::default() };
+        Peer::join_with(addr, config)
+    };
+    let peers: Vec<Peer> = (0..params.peers).map(|_| join().expect("peer join")).collect();
 
     let mut standby = Standby::start(
         StandbyOptions::new(addr, WalOptions::new(&standby_path), config)
@@ -273,7 +275,7 @@ pub fn failover_drill(params: &FailoverParams, seed: u64) -> FailoverOutcome {
     }
     // A fresh joiner admitted by the promoted coordinator completes too.
     if promoted {
-        match Peer::join_traced(addr, PACE, recorder.clone()) {
+        match join() {
             Ok(joiner) => {
                 if joiner.wait_complete(Duration::from_secs(30)) {
                     byte_ok &= joiner.decoded_content().as_deref() == Some(&data[..]);

@@ -218,8 +218,9 @@ impl<A: WireAddr> ControlCore<A> {
     ///
     /// # Errors
     ///
-    /// Describes an unknown child, a thread the child does not hold, or
-    /// a missing source registration.
+    /// Describes an unknown child (the one reason [`super::ctrl::Reply::of`]
+    /// reads: amnesia), a thread the child does not hold, or a missing
+    /// source registration.
     pub fn current_parent(
         &mut self,
         child: NodeId,
@@ -619,6 +620,30 @@ mod tests {
         assert_eq!(resp, CtrlResponse::Ok);
         assert!(matches!(&effects[..], [Mutation::Resync { node: n, .. }] if *n == node.0));
         assert!(core.server().matrix().position_of(node).is_some());
+    }
+
+    /// [`Reply::of`] is pinned to what a complaint really gets back, not
+    /// to a literal copy of the reason string.
+    #[test]
+    fn reply_classifies_what_a_complaint_actually_gets() {
+        use crate::core::ctrl::Reply;
+        let mut core = core();
+        let complaint =
+            |child, thread| Request::Complaint { child, failed_parent: None, thread, ctx: None };
+        // A fresh core has never seen the child.
+        let (resp, _) = done(core.dispatch(complaint(NodeId(77), 0)));
+        assert_eq!(Reply::of(&resp), Reply::UnknownChild);
+        register(&mut core);
+        let (resp, _) = done(core.dispatch(Request::Hello { data_addr: Slot(1) }));
+        let CtrlResponse::Welcome { node, parents, .. } = resp else { panic!() };
+        let (held, parent) = parents[0];
+        let (resp, _) = done(core.dispatch(complaint(node, held)));
+        assert_eq!(Reply::of(&resp), Reply::Redirect(parent));
+        // A known child on a thread it does not hold: an error, not amnesia.
+        let unheld = (0..).find(|t| parents.iter().all(|(h, _)| h != t)).unwrap();
+        let (resp, _) = done(core.dispatch(complaint(node, unheld)));
+        assert!(matches!(resp, CtrlResponse::Error { .. }), "{resp:?}");
+        assert_eq!(Reply::of(&resp), Reply::Unanswered);
     }
 
     #[test]

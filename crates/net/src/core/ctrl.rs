@@ -550,6 +550,36 @@ impl<A: WireAddr> CtrlResponse<A> {
     }
 }
 
+/// A complaint's outcome as the repair episode
+/// ([`crate::core::repair::Episode`]) reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reply<A> {
+    /// The coordinator named the child's current parent on the thread.
+    Redirect(CtrlParent<A>),
+    /// The coordinator has no row for the child — it lost its matrix (a
+    /// crash-restart without the WAL) and must be resynced before a
+    /// complaint can be answered.
+    UnknownChild,
+    /// No answer, a call error, or any other response: retry.
+    Unanswered,
+}
+
+impl<A: WireAddr> Reply<A> {
+    /// Classifies a complaint's response. Amnesia has no wire variant: it
+    /// is the `Error` reason [`super::coordinator::ControlCore::current_parent`]
+    /// formats, matched here and nowhere else.
+    #[must_use]
+    pub fn of(response: &CtrlResponse<A>) -> Self {
+        match response {
+            CtrlResponse::Redirect { new_parent, .. } => Reply::Redirect(*new_parent),
+            CtrlResponse::Error { reason } if reason.contains("unknown child") => {
+                Reply::UnknownChild
+            }
+            _ => Reply::Unanswered,
+        }
+    }
+}
+
 /// Adds the optional `"trace"`/`"span"` fields carrying a causal context.
 fn insert_ctx(fields: &mut BTreeMap<String, JsonValue>, ctx: Option<TraceContext>) {
     if let Some(ctx) = ctx {

@@ -16,9 +16,11 @@
 //!
 //! * [`wire`] — frame/handshake byte formats, pure codecs.
 //! * [`ctrl`] — the control-plane request/response protocol, generic
-//!   over the address type so cores never name `std::net`.
+//!   over the address type so cores never name `std::net`, and what a
+//!   complaint's response means to a repair episode.
 //! * [`backoff`] — the one exponential-backoff-with-jitter schedule.
-//! * [`repair`] — repair policy, budget, and episode state machine.
+//! * [`repair`] — repair policy, budget, and the episode state machine
+//!   both drivers feed, on an explicit microsecond clock.
 //! * [`peer`] — per-object decoding state and upstream-thread logic.
 //! * [`source`] — emission scheduling (round-robin and windowed).
 //! * [`coordinator`] — the control-plane state machine (overlay

@@ -14,9 +14,9 @@
 //!   an explicit microsecond counter so the same arithmetic runs on the
 //!   wall clock and on the vnet's virtual clock.
 //!
-//! The repair *schedule* (backoff, deadline, sliding-window budget)
-//! lives next door in [`crate::core::repair`]; the I/O loops that use
-//! all three stay in the drivers.
+//! The repair episode (budget admission, backoff, deadline, what each
+//! complaint reply means) lives next door in [`crate::core::repair`];
+//! the drivers keep only the I/O: sockets and sleeps, or the event heap.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -129,18 +129,21 @@ impl ObjectState {
     /// context (the last innovative packet's), so the serving path can
     /// derive a child span for the recoded frame.
     pub fn snapshot_next_ctx(&mut self) -> Option<(Arc<RecodeSnapshot>, Option<TraceContext>)> {
+        let g = self.next_servable(self.serve_cursor)?;
+        self.serve_cursor = (g + 1) % self.recoders.len();
+        Some((self.recoders[g].snapshot(), self.last_ctx[g]))
+    }
+
+    /// The one rotation rule: the first generation at or after `cursor`
+    /// (wrapping) that the upstream window has not retired and that has
+    /// rank to serve. [`ObjectState::snapshot_next_ctx`] probes from the
+    /// shared serving cursor; the vnet probes from a per-link one.
+    #[must_use]
+    pub fn next_servable(&self, cursor: usize) -> Option<usize> {
         let n = self.recoders.len();
-        for probe in 0..n {
-            let g = (self.serve_cursor + probe) % n;
-            if g < self.window_base {
-                continue; // retired by the upstream window
-            }
-            if self.recoders[g].rank() > 0 {
-                self.serve_cursor = (g + 1) % n;
-                return Some((self.recoders[g].snapshot(), self.last_ctx[g]));
-            }
-        }
-        None
+        (0..n)
+            .map(|probe| (cursor + probe) % n)
+            .find(|&g| g >= self.window_base && self.recoders[g].rank() > 0)
     }
 
     /// Every generation's decoded packets, or `None` before completion.

@@ -1,4 +1,4 @@
-//! The repair policy: how hard an upstream thread fights to stay fed.
+//! The repair policy and the one repair episode both drivers run.
 //!
 //! The paper's robustness argument (Theorem 4) assumes every thread
 //! defect is *transient*: a child complains, the coordinator splices, and
@@ -25,16 +25,26 @@
 //!   nothing for [`RepairPolicy::stall_timeout`] is treated as dead, so
 //!   partitions (not just closed sockets) trigger repair.
 //!
-//! Everything here is pure bookkeeping over caller-supplied instants —
-//! no sockets, no sleeping — which is what lets the same policy drive
-//! the blocking TCP loops and the virtual-clock vnet scheduler.
+//! [`Episode`] is the complaint loop itself and the only place in the
+//! crate that decides these things: budget admission, the attempt count,
+//! which backoff comes next, the deadline comparison, what a complaint's
+//! [`Reply`] leads to, and the give-up verdict. Time is an explicit
+//! microsecond counter (as in [`super::peer::LinkLiveness`]) and
+//! randomness the caller's RNG — no sockets, no sleeping — so the
+//! blocking TCP loop and the virtual-clock vnet scheduler feed the same
+//! episode instead of each running a copy.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::Rng;
 
 use super::backoff::Backoff;
+use super::ctrl::{CtrlParent, Reply};
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
 
 /// Tuning for the complaint/repair loop of one peer.
 ///
@@ -99,9 +109,9 @@ impl RepairPolicy {
 /// old lifetime cap was a blunt proxy for.
 #[derive(Debug)]
 pub struct RepairBudget {
-    window: Duration,
+    window_us: u64,
     budget: usize,
-    episodes: VecDeque<Instant>,
+    episodes: VecDeque<u64>,
 }
 
 impl RepairBudget {
@@ -109,36 +119,124 @@ impl RepairBudget {
     #[must_use]
     pub fn new(policy: &RepairPolicy) -> Self {
         RepairBudget {
-            window: policy.window,
+            window_us: micros(policy.window),
             budget: policy.window_budget,
             episodes: VecDeque::new(),
         }
     }
 
-    /// Tries to admit an episode starting at `now`; returns whether it is
-    /// within budget (and records it if so).
-    pub fn admit(&mut self, now: Instant) -> bool {
-        self.expire(now);
+    /// Tries to admit an episode starting at `now_us`; returns whether it
+    /// is within budget (and records it if so).
+    pub fn admit(&mut self, now_us: u64) -> bool {
+        self.expire(now_us);
         if self.episodes.len() >= self.budget {
             return false;
         }
-        self.episodes.push_back(now);
+        self.episodes.push_back(now_us);
         true
     }
 
-    /// Episodes currently inside the window as of `now`.
-    pub fn in_window(&mut self, now: Instant) -> usize {
-        self.expire(now);
+    /// Episodes currently inside the window as of `now_us`.
+    pub fn in_window(&mut self, now_us: u64) -> usize {
+        self.expire(now_us);
         self.episodes.len()
     }
 
-    fn expire(&mut self, now: Instant) {
+    fn expire(&mut self, now_us: u64) {
         while let Some(&front) = self.episodes.front() {
-            if now.duration_since(front) >= self.window {
+            if now_us.saturating_sub(front) >= self.window_us {
                 self.episodes.pop_front();
             } else {
                 break;
             }
+        }
+    }
+}
+
+/// What the driver does next for a running [`Episode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step<A> {
+    /// Upload this peer's row first when `resync` (the coordinator forgot
+    /// the child), wait `after`, send complaint number `attempt`, and
+    /// feed its outcome to [`Episode::on_reply`].
+    Complain {
+        /// Backoff before the complaint.
+        after: Duration,
+        /// 1-based number of the complaint to send.
+        attempt: u32,
+        /// Whether a resync precedes the wait.
+        resync: bool,
+    },
+    /// Repaired: subscribe to `parent`. `attempts` complaints were sent.
+    Resubscribe {
+        /// The spliced-in parent.
+        parent: CtrlParent<A>,
+        /// Complaints sent this episode.
+        attempts: u32,
+    },
+    /// The policy is exhausted — denied by the budget (`attempts == 0`)
+    /// or past the deadline — and the thread is permanently dead.
+    GiveUp {
+        /// Complaints sent this episode.
+        attempts: u32,
+    },
+}
+
+/// One repair episode of one upstream thread. Dropping it cancels the
+/// episode (the vnet does so when frames flow again on their own).
+#[derive(Debug)]
+pub struct Episode {
+    backoff: Backoff,
+    give_up_at_us: u64,
+    attempts: u32,
+}
+
+impl Episode {
+    /// Opens an episode at `now_us`: admitted against `budget` (a denial
+    /// draws nothing from `rng`), then the first complaint is due after
+    /// `backoff(0)`.
+    pub fn open<A, R: Rng + ?Sized>(
+        policy: &RepairPolicy,
+        budget: &mut RepairBudget,
+        now_us: u64,
+        rng: &mut R,
+    ) -> (Episode, Step<A>) {
+        let episode = Episode {
+            backoff: policy.backoff_schedule(),
+            give_up_at_us: now_us.saturating_add(micros(policy.deadline)),
+            attempts: 0,
+        };
+        let step = if budget.admit(now_us) {
+            episode.complain(false, rng)
+        } else {
+            Step::GiveUp { attempts: 0 }
+        };
+        (episode, step)
+    }
+
+    /// Books the outcome of the complaint just sent. A redirect ends the
+    /// episode; anything else — amnesia, a timeout, a transient error —
+    /// is retried after `backoff(attempts)` until the deadline, because
+    /// one lost control packet must not orphan the thread.
+    pub fn on_reply<A, R: Rng + ?Sized>(
+        &mut self,
+        reply: Reply<A>,
+        now_us: u64,
+        rng: &mut R,
+    ) -> Step<A> {
+        self.attempts += 1;
+        match reply {
+            Reply::Redirect(parent) => Step::Resubscribe { parent, attempts: self.attempts },
+            _ if now_us >= self.give_up_at_us => Step::GiveUp { attempts: self.attempts },
+            other => self.complain(matches!(other, Reply::UnknownChild), rng),
+        }
+    }
+
+    fn complain<A, R: Rng + ?Sized>(&self, resync: bool, rng: &mut R) -> Step<A> {
+        Step::Complain {
+            after: self.backoff.delay(self.attempts, rng),
+            attempt: self.attempts + 1,
+            resync,
         }
     }
 }
@@ -148,6 +246,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    const MS: u64 = 1_000;
+    const SEC: u64 = 1_000_000;
 
     #[test]
     fn backoff_doubles_and_caps() {
@@ -192,18 +293,18 @@ mod tests {
             ..RepairPolicy::default()
         };
         let mut budget = RepairBudget::new(&policy);
-        let t0 = Instant::now();
+        let t0 = 5 * SEC;
         assert!(budget.admit(t0));
-        assert!(budget.admit(t0 + Duration::from_secs(1)));
-        assert!(budget.admit(t0 + Duration::from_secs(2)));
+        assert!(budget.admit(t0 + SEC));
+        assert!(budget.admit(t0 + 2 * SEC));
         // Fourth within the window: denied.
-        assert!(!budget.admit(t0 + Duration::from_secs(3)));
-        assert_eq!(budget.in_window(t0 + Duration::from_secs(3)), 3);
+        assert!(!budget.admit(t0 + 3 * SEC));
+        assert_eq!(budget.in_window(t0 + 3 * SEC), 3);
         // Once the first episode ages out, capacity returns — the
         // regression the old lifetime cap failed: repairs spread over
         // time never exhaust the budget.
-        assert!(budget.admit(t0 + Duration::from_secs(10)));
-        assert!(!budget.admit(t0 + Duration::from_secs(10)));
+        assert!(budget.admit(t0 + 10 * SEC));
+        assert!(!budget.admit(t0 + 10 * SEC));
     }
 
     #[test]
@@ -213,9 +314,9 @@ mod tests {
         let policy =
             RepairPolicy { window: Duration::from_secs(10), window_budget: 4, ..Default::default() };
         let mut budget = RepairBudget::new(&policy);
-        let t0 = Instant::now();
+        let t0 = 5 * SEC;
         for i in 0..100u64 {
-            assert!(budget.admit(t0 + Duration::from_secs(3 * i)), "episode {i} denied");
+            assert!(budget.admit(t0 + 3 * i * SEC), "episode {i} denied");
         }
     }
 
@@ -232,19 +333,19 @@ mod tests {
             ..RepairPolicy::default()
         };
         let mut budget = RepairBudget::new(&policy);
-        let t0 = Instant::now();
+        let t0 = 5 * SEC;
         assert!(budget.admit(t0));
-        // One nanosecond before the edge: the t0 episode still occupies
+        // One microsecond before the edge: the t0 episode still occupies
         // the only slot.
-        let just_inside = t0 + Duration::from_secs(10) - Duration::from_nanos(1);
+        let just_inside = t0 + 10 * SEC - 1;
         assert!(!budget.admit(just_inside));
         assert_eq!(budget.in_window(just_inside), 1);
         // Exactly at the edge: the t0 episode has aged out.
-        let edge = t0 + Duration::from_secs(10);
+        let edge = t0 + 10 * SEC;
         assert_eq!(budget.in_window(edge), 0);
         assert!(budget.admit(edge));
         // And the new admission occupies the window from the edge onward.
-        assert!(!budget.admit(edge + Duration::from_secs(1)));
+        assert!(!budget.admit(edge + SEC));
     }
 
     #[test]
@@ -259,24 +360,99 @@ mod tests {
             ..RepairPolicy::default()
         };
         let mut budget = RepairBudget::new(&policy);
-        let t0 = Instant::now();
+        let t0 = 5 * SEC;
         for i in 0..3u64 {
-            assert!(budget.admit(t0 + Duration::from_millis(100 * i)));
+            assert!(budget.admit(t0 + 100 * i * MS));
         }
-        assert!(!budget.admit(t0 + Duration::from_secs(1)));
+        assert!(!budget.admit(t0 + SEC));
         // Quiet until every burst entry is a full window old.
-        let after = t0 + Duration::from_secs(10) + Duration::from_millis(300);
+        let after = t0 + 10 * SEC + 300 * MS;
         assert_eq!(budget.in_window(after), 0);
         for i in 0..3u64 {
-            assert!(budget.admit(after + Duration::from_millis(100 * i)), "slot {i} not freed");
+            assert!(budget.admit(after + 100 * i * MS), "slot {i} not freed");
         }
-        assert!(!budget.admit(after + Duration::from_secs(1)));
+        assert!(!budget.admit(after + SEC));
     }
 
     #[test]
     fn zero_budget_denies_everything() {
         let policy = RepairPolicy { window_budget: 0, ..RepairPolicy::default() };
         let mut budget = RepairBudget::new(&policy);
-        assert!(!budget.admit(Instant::now()));
+        assert!(!budget.admit(0));
+    }
+
+    fn short_deadline() -> RepairPolicy {
+        RepairPolicy { deadline: Duration::from_secs(2), ..RepairPolicy::default() }
+    }
+
+    #[test]
+    fn a_denied_open_gives_up_with_zero_attempts_and_draws_nothing() {
+        let policy = RepairPolicy { window_budget: 0, ..short_deadline() };
+        let (mut rng, mut twin) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let mut budget = RepairBudget::new(&policy);
+        let (_, step) = Episode::open::<u8, _>(&policy, &mut budget, SEC, &mut rng);
+        assert_eq!(step, Step::GiveUp { attempts: 0 });
+        assert_eq!(rng.random::<u64>(), twin.random::<u64>(), "admission drew from the RNG");
+    }
+
+    #[test]
+    fn the_episode_table() {
+        use Reply::{Redirect, Unanswered, UnknownChild};
+        const T0: u64 = 7 * SEC;
+        const DEADLINE: u64 = 2 * SEC;
+        let policy = short_deadline();
+        let parent = CtrlParent::Source(9u8);
+        // Step `i` of an episode is `backoff(i)` before complaint `i + 1`.
+        // The expectations draw from a twin of the RNG the episodes use,
+        // in the same order, so one stray draw desynchronises every row.
+        let (mut rng, mut twin) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+        let mut complain = |i: u32, resync: bool| Step::Complain {
+            after: policy.backoff(i, &mut twin),
+            attempt: i + 1,
+            resync,
+        };
+        // (case, replies as (reply, µs since open), every step from open on)
+        let table = vec![
+            (
+                "unanswered complaints back off on the policy schedule",
+                (1..=6).map(|i| (Unanswered, i * MS)).collect(),
+                (0..7).map(|i| complain(i, false)).collect(),
+            ),
+            (
+                "give-up fires at exactly started + deadline, not one µs earlier",
+                vec![(Unanswered, DEADLINE - 1), (Unanswered, DEADLINE)],
+                vec![complain(0, false), complain(1, false), Step::GiveUp { attempts: 2 }],
+            ),
+            (
+                "unknown child asks for a resync and keeps the attempt count",
+                vec![(UnknownChild, MS), (Unanswered, 2 * MS)],
+                vec![complain(0, false), complain(1, true), complain(2, false)],
+            ),
+            (
+                "amnesia past the deadline is still a give-up",
+                vec![(UnknownChild, DEADLINE)],
+                vec![complain(0, false), Step::GiveUp { attempts: 1 }],
+            ),
+            (
+                "a redirect reports every complaint sent, even past the deadline",
+                vec![(Unanswered, MS), (UnknownChild, 2 * MS), (Redirect(parent), DEADLINE + SEC)],
+                vec![
+                    complain(0, false),
+                    complain(1, false),
+                    complain(2, true),
+                    Step::Resubscribe { parent, attempts: 3 },
+                ],
+            ),
+        ];
+        for (case, replies, expected) in table {
+            let mut budget = RepairBudget::new(&policy);
+            let (mut episode, first) = Episode::open(&policy, &mut budget, T0, &mut rng);
+            let mut steps = vec![first];
+            for (reply, at) in replies {
+                steps.push(episode.on_reply(reply, T0 + at, &mut rng));
+            }
+            assert_eq!(steps, expected, "{case}");
+        }
+        assert_eq!(rng.random::<u64>(), twin.random::<u64>(), "stray RNG draw");
     }
 }

@@ -95,7 +95,6 @@ pub mod faults;
 pub mod framing;
 mod peer;
 pub mod proto;
-pub mod repair;
 mod source;
 pub mod standby;
 pub mod transport;
@@ -105,7 +104,7 @@ pub use coordinator::{Coordinator, SweepReport};
 pub use core::backoff::Backoff;
 pub use faults::{Fault, FaultProxy};
 pub use peer::{Peer, PeerConfig};
-pub use repair::{RepairBudget, RepairPolicy};
+pub use core::repair::RepairPolicy;
 pub use source::{PendingSource, Source};
 pub use standby::{Standby, StandbyOptions};
 pub use wal::{Wal, WalOptions, WalRecord, WalSourceInfo, WalStore};

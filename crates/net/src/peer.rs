@@ -5,10 +5,11 @@
 //! a *repair episode* — complaint attempts with exponential backoff and
 //! jitter, retried until the episode deadline — and episodes are admitted
 //! against a sliding-window budget, so a long-lived peer can repair
-//! indefinitely as long as it is not thrashing. Every attempt and every
-//! give-up is observable (`RepairAttempt` / `RepairGaveUp` events, the
-//! `repair_attempts` histogram, and the `repairs` / `repair_gave_up`
-//! counters).
+//! indefinitely as long as it is not thrashing. Those decisions are the
+//! sans-io [`Episode`]'s; this driver dials, sleeps and calls as it says.
+//! Every attempt and every give-up is observable (`RepairAttempt` /
+//! `RepairGaveUp` events, the `repair_latency_ms` and `repair_attempts`
+//! histograms, and the `repairs` / `repair_gave_up` counters).
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -25,11 +26,12 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::core::ctrl::Reply;
 use crate::core::peer::{LinkLiveness, ObjectState};
+use crate::core::repair::{Episode, RepairBudget, RepairPolicy, Step};
 use crate::transport::tcp;
 use crate::framing::{self, Subscribe};
 use crate::proto::{self, ParentAddr, Request, Response};
-use crate::repair::{RepairBudget, RepairPolicy};
 
 const CALL_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long a freshly accepted child may take to send its subscribe line.
@@ -119,7 +121,7 @@ impl Shared {
 
     /// Uploads this peer's full thread→parent view to the coordinator —
     /// the amnesia protocol. A coordinator that lost its matrix (crash
-    /// with no WAL) answers complaints with "unknown child"; the row it
+    /// with no WAL) no longer knows the complaining child; the row it
     /// forgot lives here, so we hand it back and the coordinator
     /// re-inserts it. Best-effort: failures just mean the next complaint
     /// retries the whole dance.
@@ -169,36 +171,6 @@ impl Peer {
     /// Propagates socket errors and protocol rejections.
     pub fn join(coordinator: SocketAddr) -> io::Result<Self> {
         Self::join_with(coordinator, PeerConfig::default())
-    }
-
-    /// Joins with an explicit forwarding pace (one packet per `pace` per
-    /// child subscription).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors and protocol rejections.
-    pub fn join_paced(coordinator: SocketAddr, pace: Duration) -> io::Result<Self> {
-        Self::join_with(coordinator, PeerConfig { pace, ..PeerConfig::default() })
-    }
-
-    /// Like [`Peer::join_paced`] with a telemetry recorder (typically
-    /// [`SharedRecorder::wall_clock`]). The peer records `PeerConnect` /
-    /// `PeerDisconnect` for its own lifecycle, `PacketInnovative` /
-    /// `PacketRedundant` per upstream packet, `RepairAttempt` /
-    /// `RepairGaveUp` around the complaint loop, a `repair_latency_ms`
-    /// histogram around each successful complaint round-trip, a
-    /// `repair_attempts` histogram (attempts per successful episode), and
-    /// `repairs` / `repair_gave_up` counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors and protocol rejections.
-    pub fn join_traced(
-        coordinator: SocketAddr,
-        pace: Duration,
-        recorder: SharedRecorder,
-    ) -> io::Result<Self> {
-        Self::join_with(coordinator, PeerConfig { pace, recorder, ..PeerConfig::default() })
     }
 
     /// Joins with full control over pace, telemetry, and repair policy.
@@ -539,152 +511,135 @@ fn serve_child(stream: &TcpStream, shared: &Shared, pace: Duration, seed: u64) -
     Ok(())
 }
 
-/// Reads from one parent; on socket death (or stall), runs the
-/// complaint/repair protocol and resubscribes to the replacement. Exits
-/// only on `stop` or after a `RepairGaveUp` — never silently.
+/// One upstream thread: reads from its parent until the link is defective,
+/// runs a repair episode, resubscribes to the replacement. Exits only on
+/// `stop` or after a `RepairGaveUp` — never silently.
 fn upstream_loop(shared: &Shared, thread: u16, mut parent: ParentAddr) {
     let mut rng = StdRng::seed_from_u64(shared.node.0.rotate_left(16) ^ u64::from(thread));
     let mut budget = RepairBudget::new(&shared.policy);
-    'reconnect: while !shared.stop.load(Ordering::SeqCst) {
-        let stream = match tcp::dial(parent.addr(), CALL_TIMEOUT) {
-            Ok(s) => s,
-            Err(_) => {
-                if !repair_episode(shared, thread, &mut parent, &mut budget, &mut rng) {
-                    return;
-                }
-                continue 'reconnect;
-            }
-        };
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        if framing::write_subscribe(&stream, &Subscribe { node: shared.node, thread }).is_err() {
-            if !repair_episode(shared, thread, &mut parent, &mut budget, &mut rng) {
-                return;
-            }
-            continue 'reconnect;
-        }
-        let mut reader = stream;
-        // The stall decision is the sans-io core's; this driver just feeds
-        // it a microsecond clock anchored at connect time.
-        let epoch = Instant::now();
-        let now_us = || u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let mut link = LinkLiveness::new(shared.policy.stall_timeout, now_us());
-        let mut scratch = Vec::new();
-        loop {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match framing::read_frame_tagged_pooled(&mut reader, &shared.pool, &mut scratch) {
-                Ok(Some((packet, ctx, base))) => {
-                    link.on_data(now_us());
-                    let ctx = ctx.filter(|_| shared.tracing());
-                    if let Some(ctx) = ctx {
-                        shared.recorder.record(&Event::HopRecv {
-                            trace: ctx.trace,
-                            span: ctx.span,
-                            node: shared.node.0,
-                            generation: packet.generation(),
-                            t_us: wall_micros(),
-                        });
-                    }
-                    let innovative = {
-                        let mut st = shared.state.lock();
-                        if let Some(base) = base {
-                            st.advance_window(base as usize);
-                        }
-                        st.push_ctx(packet, ctx)
-                    };
-                    if innovative {
-                        shared.note_progress();
-                    }
-                }
-                Ok(None) => {
-                    // Clean EOF: the parent is gone.
-                    if !repair_episode(shared, thread, &mut parent, &mut budget, &mut rng) {
-                        return;
-                    }
-                    continue 'reconnect;
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // Idle link: [`LinkLiveness`] decides whether the
-                    // silence is a partition-shaped defect yet.
-                    if link.is_stalled(now_us(), shared.complete.load(Ordering::SeqCst)) {
-                        if !repair_episode(shared, thread, &mut parent, &mut budget, &mut rng) {
-                            return;
-                        }
-                        continue 'reconnect;
-                    }
-                    continue;
-                }
-                Err(_) => {
-                    if !repair_episode(shared, thread, &mut parent, &mut budget, &mut rng) {
-                        return;
-                    }
-                    continue 'reconnect;
-                }
-            }
+    // The sans-io cores decide stalls, admission and deadlines; this
+    // driver just feeds them one microsecond clock per thread.
+    let epoch = Instant::now();
+    let now_us = || u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
+    while !shared.stop.load(Ordering::SeqCst) {
+        read_until_defect(shared, thread, parent, &now_us);
+        if !run_episode(shared, thread, &mut parent, &mut budget, &mut rng, &now_us) {
+            return;
         }
     }
 }
 
-/// One repair episode: admitted against the sliding-window budget, then
-/// complaint attempts with jittered exponential backoff until the policy
-/// deadline. Updates `parent` and returns `true` on success; records
-/// `RepairGaveUp` and returns `false` when the policy is exhausted.
-fn repair_episode(
+/// Subscribes to `parent` and ingests its frames. Returns when the link
+/// is defective — refused dial, failed subscribe, EOF, read error, or a
+/// stall — or when the peer stops.
+fn read_until_defect(shared: &Shared, thread: u16, parent: ParentAddr, now_us: &impl Fn() -> u64) {
+    let Ok(stream) = tcp::dial(parent.addr(), CALL_TIMEOUT) else { return };
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    if framing::write_subscribe(&stream, &Subscribe { node: shared.node, thread }).is_err() {
+        return;
+    }
+    let mut reader = stream;
+    let mut link = LinkLiveness::new(shared.policy.stall_timeout, now_us());
+    let mut scratch = Vec::new();
+    while !shared.stop.load(Ordering::SeqCst) {
+        match framing::read_frame_tagged_pooled(&mut reader, &shared.pool, &mut scratch) {
+            Ok(Some((packet, ctx, base))) => {
+                link.on_data(now_us());
+                let ctx = ctx.filter(|_| shared.tracing());
+                if let Some(ctx) = ctx {
+                    shared.recorder.record(&Event::HopRecv {
+                        trace: ctx.trace,
+                        span: ctx.span,
+                        node: shared.node.0,
+                        generation: packet.generation(),
+                        t_us: wall_micros(),
+                    });
+                }
+                let innovative = {
+                    let mut st = shared.state.lock();
+                    if let Some(base) = base {
+                        st.advance_window(base as usize);
+                    }
+                    st.push_ctx(packet, ctx)
+                };
+                if innovative {
+                    shared.note_progress();
+                }
+            }
+            // Idle link: [`LinkLiveness`] decides whether the silence is
+            // a partition-shaped defect yet.
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                if link.is_stalled(now_us(), shared.complete.load(Ordering::SeqCst)) {
+                    return;
+                }
+            }
+            // Clean EOF (the parent is gone) or a broken read.
+            Ok(None) | Err(_) => return,
+        }
+    }
+}
+
+/// Drives one [`Episode`]: sleeps the backoffs, sends the complaints,
+/// uploads the row when asked to. Updates `parent` and returns `true` on
+/// success; records `RepairGaveUp` and returns `false` when the policy is
+/// exhausted (or the peer stops).
+fn run_episode(
     shared: &Shared,
     thread: u16,
     parent: &mut ParentAddr,
     budget: &mut RepairBudget,
     rng: &mut StdRng,
+    now_us: &impl Fn() -> u64,
 ) -> bool {
     if shared.stop.load(Ordering::SeqCst) {
         return false;
     }
-    let started = Instant::now();
+    let started_us = now_us();
     // The whole episode is one span tree: a "repair" root at this peer,
     // one "complain" child per attempt (whose context rides the Complaint
     // so the coordinator's "splice" hangs underneath), and a
     // "repair_complete" child marking the resubscribe hand-off. The
     // stitched tree is the episode's critical path.
-    let episode = EpisodeSpans::open(shared);
-    if !budget.admit(started) {
-        give_up(shared, thread, 0);
-        episode.close(shared, false);
-        return false;
-    }
-    let deadline = started + shared.policy.deadline;
-    let mut attempt: u32 = 0;
+    let spans = EpisodeSpans::open(shared);
+    let (mut episode, mut step) = Episode::open(&shared.policy, budget, started_us, rng);
     loop {
-        shared.sleep_interruptible(shared.policy.backoff(attempt, rng));
-        if shared.stop.load(Ordering::SeqCst) {
-            episode.close(shared, false);
-            return false;
-        }
-        attempt += 1;
-        shared.recorder.record(&Event::RepairAttempt {
-            peer: shared.node.0,
-            thread: u32::from(thread),
-            attempt,
-        });
-        let complain = episode.child(shared, "complain");
-        let resp = proto::call(
-            shared.coordinator,
-            &Request::Complaint {
-                child: shared.node,
-                failed_parent: parent.node(),
-                thread,
-                ctx: complain,
-            },
-            CALL_TIMEOUT,
-        );
-        let redirected = matches!(resp, Ok(Response::Redirect { .. }));
-        EpisodeSpans::close_child(shared, complain, redirected);
-        match resp {
-            Ok(Response::Redirect { new_parent, .. }) => {
-                let done = episode.child(shared, "repair_complete");
+        match step {
+            Step::Complain { after, attempt, resync } => {
+                if resync {
+                    // The *coordinator* opens the resync span, under the
+                    // episode root: no local child span.
+                    shared.resync(spans.ctx);
+                }
+                shared.sleep_interruptible(after);
+                if shared.stop.load(Ordering::SeqCst) {
+                    spans.close(shared, false);
+                    return false;
+                }
+                shared.recorder.record(&Event::RepairAttempt {
+                    peer: shared.node.0,
+                    thread: u32::from(thread),
+                    attempt,
+                });
+                let complain = spans.child(shared, "complain");
+                let reply = proto::call(
+                    shared.coordinator,
+                    &Request::Complaint {
+                        child: shared.node,
+                        failed_parent: parent.node(),
+                        thread,
+                        ctx: complain,
+                    },
+                    CALL_TIMEOUT,
+                )
+                .map_or(Reply::Unanswered, |response| Reply::of(&response));
+                EpisodeSpans::close_child(shared, complain, matches!(reply, Reply::Redirect(_)));
+                step = episode.on_reply(reply, now_us(), rng);
+            }
+            Step::Resubscribe { parent: new_parent, attempts } => {
+                let done = spans.child(shared, "repair_complete");
                 *parent = new_parent;
                 let mut view = shared.parents.lock();
                 if let Some(entry) = view.iter_mut().find(|(t, _)| *t == thread) {
@@ -692,36 +647,22 @@ fn repair_episode(
                 }
                 drop(view);
                 shared.recorder.counter("repairs", 1);
-                shared
-                    .recorder
-                    .histogram("repair_latency_ms", started.elapsed().as_secs_f64() * 1e3);
-                shared.recorder.histogram("repair_attempts", f64::from(attempt));
+                let latency_us = now_us().saturating_sub(started_us);
+                shared.recorder.histogram("repair_latency_ms", latency_us as f64 / 1e3);
+                shared.recorder.histogram("repair_attempts", f64::from(attempts));
                 EpisodeSpans::close_child(shared, done, true);
-                episode.close(shared, true);
+                spans.close(shared, true);
                 return true;
             }
-            // "Unknown child" means the coordinator lost its matrix (a
-            // crash-restart without the WAL): upload our row via the
-            // resync protocol, then retry the complaint — the coordinator
-            // now knows us again and can redirect.
-            Ok(Response::Error { ref reason }) if reason.contains("unknown child") => {
-                shared.resync(episode.child_linkless());
-                if Instant::now() >= deadline {
-                    give_up(shared, thread, attempt);
-                    episode.close(shared, false);
-                    return false;
-                }
-            }
-            // Anything else — a coordinator call timeout, a transient
-            // Error response, a protocol hiccup — is retried until the
-            // episode deadline, not treated as fatal: one lost control
-            // packet must not orphan the thread permanently.
-            Ok(_) | Err(_) => {
-                if Instant::now() >= deadline {
-                    give_up(shared, thread, attempt);
-                    episode.close(shared, false);
-                    return false;
-                }
+            Step::GiveUp { attempts } => {
+                shared.recorder.record(&Event::RepairGaveUp {
+                    peer: shared.node.0,
+                    thread: u32::from(thread),
+                    attempts,
+                });
+                shared.recorder.counter("repair_gave_up", 1);
+                spans.close(shared, false);
+                return false;
             }
         }
     }
@@ -766,12 +707,6 @@ impl EpisodeSpans {
         Some(child)
     }
 
-    /// A child context for a request whose span the *server* opens (the
-    /// resync path): same trace, the root as parent — no local span.
-    fn child_linkless(&self) -> Option<TraceContext> {
-        self.ctx
-    }
-
     fn close_child(shared: &Shared, child: Option<TraceContext>, ok: bool) {
         if let Some(child) = child {
             shared.recorder.record(&Event::SpanEnd {
@@ -790,15 +725,6 @@ impl EpisodeSpans {
             shared.recorder.record(&Event::SpanEnd { trace: ctx.trace, span: ctx.span, ok });
         }
     }
-}
-
-fn give_up(shared: &Shared, thread: u16, attempts: u32) {
-    shared.recorder.record(&Event::RepairGaveUp {
-        peer: shared.node.0,
-        thread: u32::from(thread),
-        attempts,
-    });
-    shared.recorder.counter("repair_gave_up", 1);
 }
 
 #[cfg(test)]

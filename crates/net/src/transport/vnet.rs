@@ -3,9 +3,11 @@
 //!
 //! The vnet is a deterministic discrete-event simulator that drives the
 //! *same* sans-io cores the TCP driver runs — [`ObjectState`] decodes,
-//! [`LinkLiveness`] declares stalls, [`RepairPolicy`] paces complaint
-//! episodes, and a real [`ControlCore`] (over the virtual address type
-//! [`VAddr`]) grants hellos, splices failures, and readmits resyncs.
+//! [`LinkLiveness`] declares stalls, [`Episode`] runs each complaint
+//! episode against the link's [`RepairBudget`], and a real
+//! [`ControlCore`] (over the virtual address type [`VAddr`]) grants
+//! hellos, splices failures, and readmits resyncs. The scheduler only
+//! turns what they decide into timer events.
 //! Every coded frame really crosses the wire format
 //! ([`wire::encode_frame_tagged`] / [`wire::decode_frame_message`]), so
 //! a framing bug shows up here before it shows up on a socket.
@@ -44,9 +46,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::core::coordinator::{ControlCore, CoreOutcome};
-use crate::core::ctrl::{CtrlParent, CtrlRequest, CtrlResponse, WireAddr};
+use crate::core::ctrl::{CtrlParent, CtrlRequest, CtrlResponse, Reply, WireAddr};
 use crate::core::peer::{LinkLiveness, ObjectState};
-use crate::core::repair::RepairPolicy;
+use crate::core::repair::{Episode, RepairBudget, RepairPolicy, Step};
 use crate::core::standby::{FollowDirective, FollowEvent, FollowStep, FollowerCore};
 use crate::core::wire;
 
@@ -161,8 +163,11 @@ struct UpLink {
     /// TCP breaks the lock with scheduling jitter and per-subscriber
     /// encoders, the vnet must break it structurally).
     serve_gen: u64,
-    /// `Some(attempt)` while a repair episode is running.
-    repair: Option<RepairEpisode>,
+    /// The running repair episode; dropped (cancelled) when frames flow
+    /// again on their own.
+    repair: Option<Episode>,
+    /// Episode admission for this thread, across resubscribes.
+    budget: RepairBudget,
     /// When the current defect began (parent died, link cut, or stall
     /// detected) — cleared when frames flow again.
     defect_since: Option<u64>,
@@ -170,16 +175,9 @@ struct UpLink {
     dead: bool,
 }
 
-#[derive(Debug)]
-struct RepairEpisode {
-    started_us: u64,
-    attempt: u32,
-}
-
 /// One simulated peer: a real [`ObjectState`] plus its upstream links.
 struct PeerActor {
     node: NodeId,
-    addr: VAddr,
     state: ObjectState,
     links: BTreeMap<ThreadId, UpLink>,
     joined_at_us: u64,
@@ -242,7 +240,8 @@ pub struct WorldStats {
     pub frames_lost: u64,
     /// Repair episodes that ended in a successful resubscribe.
     pub repairs: u64,
-    /// Repair episodes that exhausted their deadline.
+    /// Repair episodes that gave up: past their deadline, or denied by
+    /// the budget.
     pub gave_up: u64,
     /// Resync readmissions (unknown-child recoveries).
     pub resyncs: u64,
@@ -459,12 +458,6 @@ impl World {
         Some(bytes)
     }
 
-    /// Live peer addresses, ascending (the deterministic kill-pool).
-    #[must_use]
-    pub fn peer_addrs(&self) -> Vec<VAddr> {
-        self.peers.keys().copied().collect()
-    }
-
     /// Live peer nodes in ascending address order, the deterministic
     /// victim pool for scenario churn. `true` in the pair marks a peer
     /// whose object has fully decoded.
@@ -484,39 +477,6 @@ impl World {
             .filter_map(|l| l.parent.node())
             .filter(|n| self.node_to_addr.contains_key(n))
             .min_by_key(|n| self.node_to_addr[n])
-    }
-
-    /// One line per live peer — rank, completion, and the current
-    /// thread→parent map. For scenario debugging and soak reports.
-    #[must_use]
-    pub fn dump_peers(&self) -> Vec<String> {
-        self.peers
-            .values()
-            .map(|p| {
-                let links: Vec<String> = p
-                    .links
-                    .iter()
-                    .map(|(t, l)| {
-                        let mark = if l.dead {
-                            "!"
-                        } else if l.repair.is_some() {
-                            "~"
-                        } else {
-                            ""
-                        };
-                        format!("{t}:{}{mark}", l.parent.addr())
-                    })
-                    .collect();
-                format!(
-                    "node={} addr={} rank={} complete={} links=[{}]",
-                    p.node,
-                    p.addr,
-                    p.state.rank(),
-                    p.state.is_complete(),
-                    links.join(",")
-                )
-            })
-            .collect()
     }
 
     /// The defect-time reading at the current instant. In-flight
@@ -563,7 +523,6 @@ impl World {
         let now = self.clock_us;
         let mut actor = PeerActor {
             node,
-            addr,
             state: ObjectState::with_pool(
                 generations,
                 generation_size,
@@ -585,6 +544,7 @@ impl World {
                     liveness: LinkLiveness::new(self.cfg.policy.stall_timeout, now),
                     serve_gen: 0,
                     repair: None,
+                    budget: RepairBudget::new(&self.cfg.policy),
                     defect_since: None,
                     dead: false,
                 },
@@ -640,18 +600,18 @@ impl World {
         self.journal.push(format!("t={now} kill node={node} addr={addr}"));
     }
 
-    /// Dispatches one control request, or `None` while the coordinator
-    /// is down (a crashed control plane answers nothing). Successful
+    /// Dispatches one control request; `None` while the coordinator is
+    /// down (a crashed control plane answers nothing). Successful
     /// mutations advance the commit sequence the standby tails.
-    fn control_dispatch(&mut self, request: CtrlRequest<VAddr>) -> Option<CoreOutcome<VAddr>> {
+    fn control_dispatch(&mut self, request: CtrlRequest<VAddr>) -> Option<CtrlResponse<VAddr>> {
         if !self.coordinator_up {
             return None;
         }
-        let outcome = self.control.dispatch(request);
-        if let CoreOutcome::Done { effects, .. } = &outcome {
-            self.commit_seq += effects.len() as u64;
-        }
-        Some(outcome)
+        let CoreOutcome::Done { response, effects } = self.control.dispatch(request) else {
+            return None; // durability verbs are the TCP driver's; no peer sends them
+        };
+        self.commit_seq += effects.len() as u64;
+        Some(response)
     }
 
     /// Attaches a warm standby: a [`FollowerCore`] polled on the
@@ -818,19 +778,9 @@ impl World {
                 Some(wire::encode_frame_tagged(&packet, None, None))
             }
             CtrlParent::Node(_, addr) => {
-                let snapshot = {
-                    let state = &mut self.peers.get_mut(addr)?.state;
-                    let n = state.recoders.len();
-                    let mut found = None;
-                    for probe in 0..n {
-                        let g = (counter as usize + probe) % n;
-                        if g >= state.window_base && state.recoders[g].rank() > 0 {
-                            found = Some(state.recoders[g].snapshot());
-                            break;
-                        }
-                    }
-                    found?
-                };
+                let state = &mut self.peers.get_mut(addr)?.state;
+                let g = state.next_servable(counter as usize)?;
+                let snapshot = state.recoders[g].snapshot();
                 let packet = snapshot.recode(&mut self.rng)?;
                 Some(wire::encode_frame_tagged(&packet, None, None))
             }
@@ -965,76 +915,75 @@ impl World {
         }
         let now = self.clock_us;
         let next = now + self.stall_us();
-        let (node, stalled, episode_running) = {
-            let peer = self.peers.get(&child).expect("link_current checked");
-            let link = &peer.links[&thread];
-            (
-                peer.node,
-                link.liveness.is_stalled(now, peer.state.is_complete()),
-                link.repair.is_some(),
-            )
-        };
-        if stalled && !episode_running {
-            let backoff = self.cfg.policy.backoff(0, &mut self.rng);
-            let peer = self.peers.get_mut(&child).expect("link_current checked");
-            let link = peer.links.get_mut(&thread).expect("link_current checked");
+        let peer = self.peers.get_mut(&child).expect("link_current checked");
+        let complete = peer.state.is_complete();
+        let link = peer.links.get_mut(&thread).expect("link_current checked");
+        if link.liveness.is_stalled(now, complete) && link.repair.is_none() {
             link.defect_since.get_or_insert(now);
-            link.repair = Some(RepairEpisode { started_us: now, attempt: 0 });
             self.journal.push(format!(
-                "t={now} defect node={node} thread={thread} parent={}",
+                "t={now} defect node={} thread={thread} parent={}",
+                peer.node,
                 link.parent.addr()
             ));
-            let t = now + u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-            self.push_ev(t, Ev::RepairTick { child, thread, epoch });
+            let (episode, step) =
+                Episode::open(&self.cfg.policy, &mut link.budget, now, &mut self.rng);
+            link.repair = Some(episode);
+            self.on_step(child, thread, epoch, step);
         }
         self.push_ev(next, Ev::Liveness { child, thread, epoch });
     }
 
+    /// Sends the episode's next complaint and feeds the machine its outcome.
     fn on_repair_tick(&mut self, child: VAddr, thread: ThreadId, epoch: u64) {
         if !self.link_current(child, thread, epoch) {
             return;
         }
-        let now = self.clock_us;
-        let deadline_us =
-            u64::try_from(self.cfg.policy.deadline.as_micros()).unwrap_or(u64::MAX);
-        let (node, started_us, attempt, failed_parent) = {
-            let peer = self.peers.get(&child).expect("link_current checked");
-            let link = &peer.links[&thread];
-            let Some(ep) = link.repair.as_ref() else { return };
-            (peer.node, ep.started_us, ep.attempt, link.parent.node())
-        };
-        if now.saturating_sub(started_us) > deadline_us {
-            let peer = self.peers.get_mut(&child).expect("link_current checked");
-            let link = peer.links.get_mut(&thread).expect("link_current checked");
-            link.repair = None;
-            link.dead = true;
-            self.stats.gave_up += 1;
-            self.journal.push(format!("t={now} give_up node={node} thread={thread}"));
+        let peer = &self.peers[&child];
+        let (node, link) = (peer.node, &peer.links[&thread]);
+        if link.repair.is_none() {
             return;
         }
-        let outcome = self.control_dispatch(CtrlRequest::Complaint {
-            child: node,
-            failed_parent,
-            thread,
-            ctx: None,
-        });
         // A dead coordinator answers nothing: the episode keeps its
         // backoff schedule running, like a TCP dial timeout would.
-        let Some(CoreOutcome::Done { response, .. }) = outcome else {
-            self.schedule_retry(child, thread, epoch, attempt);
-            return;
-        };
-        match response {
-            CtrlResponse::Redirect { new_parent, .. } => {
-                self.resubscribe(child, thread, node, new_parent, attempt);
+        let reply = self
+            .control_dispatch(CtrlRequest::Complaint {
+                child: node,
+                failed_parent: link.parent.node(),
+                thread,
+                ctx: None,
+            })
+            .map_or(Reply::Unanswered, |response| Reply::of(&response));
+        let link = self.peers.get_mut(&child).and_then(|p| p.links.get_mut(&thread));
+        let episode = link.and_then(|l| l.repair.as_mut()).expect("checked above");
+        let step = episode.on_reply(reply, self.clock_us, &mut self.rng);
+        self.on_step(child, thread, epoch, step);
+    }
+
+    /// Carries out what the episode machine decided for one link.
+    fn on_step(&mut self, child: VAddr, thread: ThreadId, epoch: u64, step: Step<VAddr>) {
+        let now = self.clock_us;
+        let node = self.peers[&child].node;
+        match step {
+            Step::Complain { after, resync, .. } => {
+                if resync {
+                    // Amnesiac coordinator: readmit ourselves before the
+                    // next complaint.
+                    self.resync(child, node);
+                }
+                let t = now + u64::try_from(after.as_micros()).unwrap_or(u64::MAX);
+                self.push_ev(t, Ev::RepairTick { child, thread, epoch });
             }
-            CtrlResponse::Error { reason } if reason.contains("unknown child") => {
-                // Amnesiac coordinator: readmit ourselves, then retry the
-                // complaint on the next tick.
-                self.resync(child, node);
-                self.schedule_retry(child, thread, epoch, attempt);
+            Step::Resubscribe { parent, attempts } => {
+                self.resubscribe(child, thread, node, parent, attempts);
             }
-            _ => self.schedule_retry(child, thread, epoch, attempt),
+            Step::GiveUp { .. } => {
+                let peer = self.peers.get_mut(&child).expect("caller checked");
+                let link = peer.links.get_mut(&thread).expect("caller checked");
+                link.repair = None;
+                link.dead = true;
+                self.stats.gave_up += 1;
+                self.journal.push(format!("t={now} give_up node={node} thread={thread}"));
+            }
         }
     }
 
@@ -1045,29 +994,16 @@ impl World {
             .iter()
             .map(|(t, l)| (*t, l.parent.node()))
             .collect();
-        let outcome = self.control_dispatch(CtrlRequest::Resync {
+        let response = self.control_dispatch(CtrlRequest::Resync {
             node,
             data_addr: child,
             parents,
             ctx: None,
         });
-        if matches!(outcome, Some(CoreOutcome::Done { response: CtrlResponse::Ok, .. })) {
+        if response == Some(CtrlResponse::Ok) {
             self.stats.resyncs += 1;
             self.journal.push(format!("t={} resync node={node}", self.clock_us));
         }
-    }
-
-    fn schedule_retry(&mut self, child: VAddr, thread: ThreadId, epoch: u64, attempt: u32) {
-        let backoff = self.cfg.policy.backoff(attempt + 1, &mut self.rng);
-        if let Some(link) =
-            self.peers.get_mut(&child).and_then(|p| p.links.get_mut(&thread))
-        {
-            if let Some(ep) = link.repair.as_mut() {
-                ep.attempt = attempt + 1;
-            }
-        }
-        let t = self.clock_us + u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-        self.push_ev(t, Ev::RepairTick { child, thread, epoch });
     }
 
     /// Moves a subscription to `new_parent`: bumps the epoch (stale
@@ -1099,7 +1035,7 @@ impl World {
         self.journal.push(format!(
             "t={now} repair node={node} thread={thread} parent={} attempts={}",
             new_parent.addr(),
-            attempts + 1
+            attempts
         ));
         self.push_ev(now + self.cfg.pace_us, Ev::Emit { child, thread, epoch: new_epoch });
         self.push_ev(
@@ -1227,7 +1163,7 @@ mod tests {
         world.run_for(10_000);
         world.coordinator_amnesia();
         // Kill a serving peer after the amnesia: its children's
-        // complaints hit "unknown child", forcing resync readmission
+        // complaints are answered unknown-child, forcing resync readmission
         // before the redirect can be answered.
         let victim = world.a_serving_peer().expect("8 peers at k=4 share threads");
         world.kill_peer(victim);
@@ -1280,6 +1216,41 @@ mod tests {
         for node in all.into_iter().filter(|n| *n != victim) {
             assert_eq!(world.decoded_content(node).as_deref(), Some(&content[..]));
         }
+    }
+
+    #[test]
+    fn a_zero_budget_gives_up_where_the_default_policy_repairs() {
+        // Same long transfer and twitchy stall detector as the standby
+        // test, so the orphans notice the death mid-transfer.
+        let run = |window_budget: usize| {
+            let cfg = VnetConfig {
+                overlay: OverlayConfig::new(4, 2),
+                generations: 8,
+                generation_size: 16,
+                policy: RepairPolicy {
+                    stall_timeout: Duration::from_millis(20),
+                    window_budget,
+                    ..VnetConfig::default().policy
+                },
+                ..VnetConfig::default()
+            };
+            let content = pattern(cfg.generations * cfg.generation_size * cfg.packet_len);
+            let mut world = World::new(61, cfg, &content);
+            for _ in 0..8 {
+                world.join_peer();
+            }
+            world.run_for(10_000);
+            let victim = world.a_serving_peer().expect("8 peers at k=4 share threads");
+            world.kill_peer(victim);
+            world.run_for(1_000_000);
+            world.stats()
+        };
+        // `window_budget: 0` disables repair: every admission is denied,
+        // journalled and counted as a give-up with no complaint sent.
+        let denied = run(0);
+        assert!(denied.gave_up > 0 && denied.repairs == 0, "{denied:?}");
+        let repaired = run(VnetConfig::default().policy.window_budget);
+        assert!(repaired.repairs > 0 && repaired.gave_up == 0, "{repaired:?}");
     }
 
     #[test]

@@ -7,8 +7,7 @@ use std::time::Duration;
 
 use curtain_net::faults::{Fault, FaultProxy};
 use curtain_net::framing::{self, Subscribe};
-use curtain_net::repair::RepairPolicy;
-use curtain_net::{Coordinator, Peer, PeerConfig, PendingSource, Source};
+use curtain_net::{Coordinator, Peer, PeerConfig, PendingSource, RepairPolicy, Source};
 use curtain_overlay::{NodeId, OverlayConfig};
 use curtain_rlnc::BufPool;
 use curtain_telemetry::{MemorySink, SharedRecorder};
@@ -164,7 +163,9 @@ fn crash_joins_child_serving_threads() {
     let coordinator = Coordinator::start_seeded(OverlayConfig::new(4, 2), 23).unwrap();
     let data = content(4096);
     let _source = Source::start(coordinator.addr(), &data, 16, PACE).unwrap();
-    let peer = Peer::join_paced(coordinator.addr(), PACE).unwrap();
+    let peer =
+        Peer::join_with(coordinator.addr(), PeerConfig { pace: PACE, ..PeerConfig::default() })
+            .unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while peer.rank() == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use curtain_net::{Coordinator, Peer, Source};
+use curtain_net::{Coordinator, Peer, PeerConfig, Source};
 use curtain_overlay::OverlayConfig;
 use curtain_telemetry::{MemorySink, SharedRecorder};
 
@@ -202,10 +202,13 @@ fn traced_crash_recovery_records_repair_latency() {
     let _source = Source::start(coordinator.addr(), &data, 16, PACE).unwrap();
     let first = Peer::join(coordinator.addr()).unwrap();
     let peer_sink = MemorySink::new();
-    let survivor = Peer::join_traced(
+    let survivor = Peer::join_with(
         coordinator.addr(),
-        PACE,
-        SharedRecorder::wall_clock(peer_sink.clone()),
+        PeerConfig {
+            pace: PACE,
+            recorder: SharedRecorder::wall_clock(peer_sink.clone()),
+            ..PeerConfig::default()
+        },
     )
     .unwrap();
     std::thread::sleep(Duration::from_millis(200));

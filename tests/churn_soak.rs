@@ -19,8 +19,7 @@ use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use curtain_net::faults::{Fault, FaultProxy};
-use curtain_net::repair::RepairPolicy;
-use curtain_net::{Coordinator, Peer, PeerConfig, PendingSource, Source};
+use curtain_net::{Coordinator, Peer, PeerConfig, PendingSource, RepairPolicy, Source};
 use curtain_overlay::OverlayConfig;
 use curtain_telemetry::{MemorySink, SharedRecorder};
 

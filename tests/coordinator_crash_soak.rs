@@ -21,8 +21,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use curtain_net::repair::RepairPolicy;
-use curtain_net::{Coordinator, Peer, PeerConfig, Source, WalOptions};
+use curtain_net::{Coordinator, Peer, PeerConfig, RepairPolicy, Source, WalOptions};
 use curtain_overlay::{NodeId, OverlayConfig, ThreadId};
 use curtain_telemetry::{MemorySink, SharedRecorder};
 

@@ -7,8 +7,7 @@ use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use curtain_net::repair::RepairPolicy;
-use curtain_net::{Coordinator, Peer, PeerConfig, PendingSource, Source};
+use curtain_net::{Coordinator, Peer, PeerConfig, PendingSource, RepairPolicy, Source};
 use curtain_overlay::OverlayConfig;
 use curtain_telemetry::replay::read_trace;
 use curtain_telemetry::stitch::{stitch, StitchReport};
@@ -179,7 +178,9 @@ fn crashed_parent_yields_closed_repair_episode() {
     // The victim joins first so later joiners hang below it. It runs
     // *untraced*: its frames carry no context, proving old-style peers
     // interoperate inside a traced swarm.
-    let victim = Peer::join_paced(coordinator.addr(), PACE).unwrap();
+    let victim =
+        Peer::join_with(coordinator.addr(), PeerConfig { pace: PACE, ..PeerConfig::default() })
+            .unwrap();
     let mut peer_sinks = Vec::new();
     let survivors: Vec<Peer> = (0..4)
         .map(|_| {
@@ -280,7 +281,9 @@ fn mixed_tracing_interoperates() {
         .observed(source_recorder, true)
         .register(coordinator.addr())
         .unwrap();
-    let plain = Peer::join_paced(coordinator.addr(), PACE).unwrap();
+    let plain =
+        Peer::join_with(coordinator.addr(), PeerConfig { pace: PACE, ..PeerConfig::default() })
+            .unwrap();
     assert!(plain.wait_complete(DECODE_TIMEOUT), "untraced peer choked on traced frames");
     assert_eq!(plain.decoded_content().unwrap(), data);
     plain.leave();

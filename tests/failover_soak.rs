@@ -27,8 +27,9 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use curtain_net::repair::RepairPolicy;
-use curtain_net::{Coordinator, Peer, PeerConfig, Source, Standby, StandbyOptions, WalOptions};
+use curtain_net::{
+    Coordinator, Peer, PeerConfig, RepairPolicy, Source, Standby, StandbyOptions, WalOptions,
+};
 use curtain_overlay::{NodeId, OverlayConfig};
 use curtain_telemetry::{MemorySink, SharedRecorder};
 
