@@ -3,16 +3,17 @@
 //! The measurement core lives in `curtain_bench::exp::e21` (shared with
 //! `curtain-lab`'s claim-gated sweep). Two tables:
 //!
-//! * admitted joins/second under a WAL whose fsync costs 2 ms, group
-//!   commit vs fsync-per-mutation, as the client count grows — group
-//!   commit amortizes one sync across a whole admitted batch;
+//! * admitted joins/second, WAL syncs and joins per sync under a WAL
+//!   whose fsync costs 2 ms, as the client count grows — group commit
+//!   amortizes one sync across a whole admitted batch, where one sync
+//!   per join could not exceed 500 joins/s;
 //! * the failover drill — kill a primary mid-transfer and check the
 //!   warm standby promotes at the same address, survivors finish
 //!   byte-identical, and nothing gives up repair.
 //!
 //! Both tables are wall-clock: `--seed` pins the workload, the rates
-//! are the machine's. The lab claims gate only the group/per-mutation
-//! ratio and the drill's pass/fail flags.
+//! are the machine's. The lab claims gate only the exact joins-per-sync
+//! count, the serial-sync ceiling and the drill's pass/fail flags.
 
 use curtain_bench::args::ExpArgs;
 use curtain_bench::exp::e21::{self, FailoverParams, JoinParams};
@@ -23,7 +24,7 @@ use curtain_bench::runtime;
 fn main() {
     runtime::banner(
         "E21 / control plane",
-        "group commit >= 3x fsync-per-mutation joins; failover drill heals without loss",
+        "group commit >= 3 joins per fsync; failover drill heals without loss",
     );
     let args = ExpArgs::parse();
     let trials = 3 * args.scale();
@@ -31,40 +32,22 @@ fn main() {
 
     println!("join storm: 2 ms per WAL sync, joins admitted only once durable");
     println!();
-    let t = Table::new(&["mode", "clients", "joins", "joins/s", "ratio vs per-mutation"]);
+    let t = Table::new(&["clients", "joins", "joins/s", "syncs", "joins/sync"]);
     t.header();
     for &clients in &[2usize, 4, 8] {
-        let base = JoinParams {
-            group_commit: true,
-            clients,
-            joins_per_client: 16,
-            sync_delay_us: 2000,
-        };
-        let mut rates = [Vec::new(), Vec::new()];
-        for trial in 0..trials {
-            for (i, group) in [(0usize, true), (1, false)] {
-                let out = e21::join_throughput(
-                    &JoinParams { group_commit: group, ..base },
-                    seed0 + trial,
-                );
-                rates[i].push(out.joins_per_s);
-            }
-        }
-        let group = stats::mean(&rates[0]);
-        let per = stats::mean(&rates[1]);
-        for (mode, rate) in [("group", group), ("per_mutation", per)] {
-            t.row(&[
-                mode.into(),
-                format!("{clients}"),
-                format!("{}", clients * 16),
-                format!("{rate:.0}"),
-                if mode == "group" {
-                    format!("{:.2}x", group / per.max(1e-9))
-                } else {
-                    "1.00x".into()
-                },
-            ]);
-        }
+        let params = JoinParams { clients, joins_per_client: 16, sync_delay_us: 2000 };
+        let runs: Vec<_> =
+            (0..trials).map(|trial| e21::join_throughput(&params, seed0 + trial)).collect();
+        let rates: Vec<f64> = runs.iter().map(|o| o.joins_per_s).collect();
+        let joins: u64 = runs.iter().map(|o| o.joins).sum();
+        let syncs: u64 = runs.iter().map(|o| o.syncs).sum();
+        t.row(&[
+            format!("{clients}"),
+            format!("{joins}"),
+            format!("{:.0}", stats::mean(&rates)),
+            format!("{syncs}"),
+            format!("{:.2}", joins as f64 / syncs.max(1) as f64),
+        ]);
     }
 
     println!();

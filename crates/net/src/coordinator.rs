@@ -9,7 +9,7 @@
 //! child" complaint response makes the peer send [`Request::Resync`] with
 //! its thread→parent view, and the coordinator re-inserts the row.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -18,17 +18,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use curtain_overlay::snapshot::RowSnapshot;
-use curtain_overlay::{CurtainServer, NodeId, NodeStatus, OverlayConfig, ThreadId};
+use curtain_overlay::{NodeId, OverlayConfig, ThreadId};
 use curtain_telemetry::trace::COORDINATOR_NODE;
 use curtain_telemetry::{Event, SharedRecorder, TraceContext};
 use parking_lot::{Condvar, Mutex};
 
 use crate::core::backoff::Backoff;
-use crate::core::coordinator::{ControlCore, CoreOutcome, Mutation, SourceInfo};
+use crate::core::coordinator::{ControlCore, CoreOutcome};
 use crate::framing;
 use crate::proto::{self, Request, Response};
-use crate::wal::{Wal, WalOptions, WalRecord, WalSourceInfo, WalStore};
+use crate::wal::{Wal, WalOptions, WalRecord, WalStore};
 
 /// Committed-but-recent WAL records kept in memory so a tailing standby
 /// can catch up without a second log reader.
@@ -62,9 +61,6 @@ struct CommitInner {
     /// Whether a WAL was configured at all (stays `true` while the
     /// committer has temporarily taken the handle out).
     enabled: bool,
-    /// Group commit (committer thread + one fsync per batch) vs inline
-    /// per-mutation append+fsync.
-    group: bool,
     /// Degraded coordinators refuse mutations instead of serving from
     /// memory.
     strict: bool,
@@ -167,18 +163,12 @@ enum DurableWait {
 }
 
 impl CommitShared {
-    fn new(
-        wal: Option<Box<dyn WalStore>>,
-        group: bool,
-        strict: bool,
-        recorder: SharedRecorder,
-    ) -> Arc<Self> {
+    fn new(wal: Option<Box<dyn WalStore>>, strict: bool, recorder: SharedRecorder) -> Arc<Self> {
         let enabled = wal.is_some();
         Arc::new(CommitShared {
             inner: Mutex::new(CommitInner {
                 wal,
                 enabled,
-                group,
                 strict,
                 queue: Vec::new(),
                 appended_seq: 0,
@@ -306,44 +296,6 @@ fn committer_loop(shared: &Arc<CommitShared>) {
     }
 }
 
-/// `SourceInfo` ⇄ `WalSourceInfo` (same fields; the WAL type is pinned
-/// to `SocketAddr` and carries the serde impls).
-fn wal_source_of(info: SourceInfo<SocketAddr>) -> WalSourceInfo {
-    WalSourceInfo {
-        addr: info.addr,
-        generations: info.generations,
-        generation_size: info.generation_size,
-        packet_len: info.packet_len,
-        content_len: info.content_len,
-    }
-}
-
-fn core_source_of(info: WalSourceInfo) -> SourceInfo<SocketAddr> {
-    SourceInfo {
-        addr: info.addr,
-        generations: info.generations,
-        generation_size: info.generation_size,
-        packet_len: info.packet_len,
-        content_len: info.content_len,
-    }
-}
-
-/// Maps a core mutation onto the WAL record that persists it.
-fn wal_record_of(mutation: Mutation<SocketAddr>) -> WalRecord {
-    match mutation {
-        Mutation::RegisterSource(info) => WalRecord::RegisterSource(wal_source_of(info)),
-        Mutation::Hello { node, position, threads, data_addr } => {
-            WalRecord::Hello { node, position, threads, data_addr }
-        }
-        Mutation::Resync { node, threads, data_addr } => {
-            WalRecord::Resync { node, threads, data_addr }
-        }
-        Mutation::Goodbye { node } => WalRecord::Goodbye { node },
-        Mutation::Splice { node } => WalRecord::Splice { node },
-        Mutation::Completed { node } => WalRecord::Completed { node },
-    }
-}
-
 /// The TCP driver around the sans-io [`ControlCore`]: the core decides,
 /// this wraps its decisions in the WAL/commit machinery and the strict-
 /// mode refusals durability brings along.
@@ -352,25 +304,24 @@ struct State {
     recorder: SharedRecorder,
     commit: Arc<CommitShared>,
     /// Sequence number the in-flight request must wait on before its
-    /// response leaves (set by [`State::log`] in group mode, collected by
+    /// response leaves (set by [`State::log`], collected by
     /// [`State::handle`]).
     pending_wait: Option<u64>,
 }
 
 impl State {
-    /// Admits one mutation to the WAL.
-    ///
-    /// Group mode parks it on the commit queue and records the sequence
-    /// number the handler must wait on ([`State::pending_wait`]) — the
-    /// committer fsyncs the whole admitted batch at once. Per-mutation
-    /// mode appends and fsyncs inline, as the original coordinator did.
+    /// Admits one mutation to the WAL: parks it on the commit queue and
+    /// records the sequence number the handler must wait on
+    /// ([`State::pending_wait`]) — the committer fsyncs the whole admitted
+    /// batch at once.
     ///
     /// WAL I/O failures must not take the control plane down
-    /// mid-broadcast: the coordinator enters (sticky) degraded mode —
+    /// mid-broadcast: the committer enters (sticky) degraded mode —
     /// announced by `CoordinatorDegraded`, visible as `"durable": false`
-    /// in `/health` — stops appending, and keeps serving from memory,
-    /// unless `strict` makes [`State::handle`] refuse mutations instead.
-    fn log(&mut self, record: &WalRecord) {
+    /// in `/health` — after which nothing more is admitted here and the
+    /// coordinator keeps serving from memory, unless `strict` makes it
+    /// refuse mutations instead.
+    fn log(&mut self, record: WalRecord) {
         let commit = Arc::clone(&self.commit);
         let mut inner = commit.inner.lock();
         if !inner.enabled || inner.degraded {
@@ -378,43 +329,21 @@ impl State {
         }
         inner.appended_seq += 1;
         let seq = inner.appended_seq;
-        if inner.group {
-            inner.queue.push(CommitOp::Append(seq, record.clone()));
-            self.maybe_enqueue_compaction(&mut inner);
-            drop(inner);
-            commit.cond.notify_all();
-            self.pending_wait = Some(seq);
-            return;
-        }
-        let result = {
-            let wal = inner.wal.as_mut().expect("per-mutation mode never takes the wal out");
-            wal.append(record).and_then(|()| wal.sync())
-        };
-        match result {
-            Ok(()) => {
-                inner.durable_seq = seq;
-                inner.push_tail(seq, record.clone());
-                self.maybe_compact_inline(&mut inner);
-                let (bytes, records) = {
-                    let wal = inner.wal.as_ref().expect("wal present");
-                    (wal.bytes(), wal.records())
-                };
-                drop(inner);
-                self.recorder.gauge("wal_bytes", bytes as f64);
-                self.recorder.gauge("wal_records", records as f64);
-            }
-            Err(_) => inner.enter_degraded(&self.recorder, "wal append/sync failed"),
-        }
+        inner.queue.push(CommitOp::Append(seq, record));
+        self.maybe_enqueue_compaction(&mut inner);
+        drop(inner);
+        commit.cond.notify_all();
+        self.pending_wait = Some(seq);
     }
 
-    /// Queues a compaction if the log crossed its threshold (group mode).
-    /// At most one per crossing: `compact_inflight` latches until the
-    /// committer books the result.
+    /// Queues a compaction if the log crossed its threshold. At most one
+    /// per crossing: `compact_inflight` latches until the committer books
+    /// the result.
     fn maybe_enqueue_compaction(&self, inner: &mut CommitInner) {
         if !inner.wants_compaction() {
             return;
         }
-        match self.checkpoint_record() {
+        match self.core.checkpoint() {
             Ok(ck) => {
                 inner.queue.push(CommitOp::Compact(ck));
                 inner.compact_inflight = true;
@@ -424,48 +353,6 @@ impl State {
         }
     }
 
-    /// Compacts inline if due (per-mutation mode), with the same
-    /// once-per-crossing-plus-backoff policy as the queued path.
-    fn maybe_compact_inline(&self, inner: &mut CommitInner) {
-        if !inner.wants_compaction() {
-            return;
-        }
-        let Ok(ck) = self.checkpoint_record() else {
-            self.recorder.counter("wal_errors", 1);
-            return;
-        };
-        self.recorder.counter("wal_compact_attempts", 1);
-        let ok = inner.wal.as_mut().expect("wal present").compact(&ck).is_ok();
-        inner.note_compact_result(ok, &self.recorder);
-    }
-
-    /// The full state as one WAL record (the compaction payload). The
-    /// embedded epoch is the id-allocation high-water mark, which fences
-    /// post-recovery grants against clock steps.
-    fn checkpoint_record(&self) -> Result<WalRecord, String> {
-        let server = self.core.server().to_json().map_err(|e| e.to_string())?;
-        let mut addrs: Vec<(u64, SocketAddr)> =
-            self.core.addrs().iter().map(|(n, a)| (n.0, *a)).collect();
-        addrs.sort_unstable_by_key(|(n, _)| *n);
-        let mut completed: Vec<u64> = self.core.completed().iter().map(|n| n.0).collect();
-        completed.sort_unstable();
-        Ok(WalRecord::Checkpoint {
-            server,
-            addrs,
-            source: self.core.source().copied().map(wal_source_of),
-            completed,
-            epoch: self.core.server().next_node_id(),
-        })
-    }
-
-    /// Splices `failed` out via the core and persists the resulting
-    /// records. Shared by the complaint path (inside dispatch) and the
-    /// proactive resync sweep (which calls this directly).
-    fn splice_out(&mut self, failed: NodeId, ctx: Option<TraceContext>) {
-        for mutation in self.core.splice_out(failed, ctx) {
-            self.log(&wal_record_of(mutation));
-        }
-    }
 
     /// Whether this request would mutate `M` (and therefore needs WAL
     /// durability). Complaints count: answering one may splice.
@@ -487,36 +374,24 @@ impl State {
         inner.enabled && inner.strict && inner.degraded
     }
 
-    fn is_degraded(&self) -> bool {
-        self.commit.inner.lock().degraded
-    }
-
     /// Handles one request. The second return is the commit sequence the
-    /// connection handler must wait on (group mode) before the response
-    /// may leave — waiting happens *outside* the state lock.
+    /// connection handler must wait on before the response may leave —
+    /// waiting happens *outside* the state lock.
     fn handle(&mut self, request: Request) -> (Response, Option<u64>) {
         if self.refuses_mutations() && Self::is_mutation(&request) {
             return (unavailable(), None);
         }
-        let was_degraded = self.is_degraded();
         self.pending_wait = None;
         let response = match self.core.dispatch(request) {
             CoreOutcome::Done { response, effects } => {
-                for mutation in effects {
-                    self.log(&wal_record_of(mutation));
+                for record in effects {
+                    self.log(record);
                 }
                 response
             }
             CoreOutcome::Driver(request) => self.answer_durability(request),
         };
-        let wait = self.pending_wait.take();
-        if self.commit.strict() && !was_degraded && self.is_degraded() {
-            // The WAL failed *during this request* (per-mutation mode):
-            // the memory mutation happened but is not durable, and strict
-            // mode refuses to pretend otherwise.
-            return (unavailable(), None);
-        }
-        (response, wait)
+        (response, self.pending_wait.take())
     }
 
     /// Answers the durability verbs the core hands back: they read the
@@ -524,7 +399,7 @@ impl State {
     /// driver has.
     fn answer_durability(&self, request: Request) -> Response {
         match request {
-            Request::SnapshotFetch => match self.checkpoint_record() {
+            Request::SnapshotFetch => match self.core.checkpoint() {
                 Ok(ck) => {
                     // The snapshot covers the full *memory* state, i.e.
                     // everything up to the last admitted mutation — tailing
@@ -634,7 +509,7 @@ impl Coordinator {
         recorder: SharedRecorder,
     ) -> io::Result<Self> {
         let core = ControlCore::new(config, seed, recorder.clone()).map_err(io::Error::other)?;
-        let commit = CommitShared::new(None, false, false, recorder.clone());
+        let commit = CommitShared::new(None, false, recorder.clone());
         let state = State { core, recorder, commit, pending_wait: None };
         Self::serve(TcpListener::bind("127.0.0.1:0")?, state)
     }
@@ -643,8 +518,9 @@ impl Coordinator {
     /// made durable in a write-ahead log first (see [`crate::wal`]) so a
     /// crashed coordinator can be resurrected with
     /// [`Coordinator::recover`]. A fresh start truncates any existing log
-    /// at `wal.path` — use `recover` to continue one. Commit batching and
-    /// strict mode follow `wal.group_commit` / `wal.strict`.
+    /// at `wal.path` — use `recover` to continue one. Mutations are group-
+    /// committed: each response leaves only after the batch holding its
+    /// record is fsynced. Strict mode follows `wal.strict`.
     ///
     /// # Errors
     ///
@@ -656,7 +532,7 @@ impl Coordinator {
         wal: &WalOptions,
     ) -> io::Result<Self> {
         let store: Box<dyn WalStore> = Box::new(Wal::create(&wal.path, wal.compact_threshold)?);
-        Self::start_durable_with_store(config, seed, recorder, store, wal.group_commit, wal.strict)
+        Self::start_durable_with_store(config, seed, recorder, store, wal.strict)
     }
 
     /// [`Coordinator::start_durable`] with an explicit [`WalStore`] — the
@@ -671,11 +547,10 @@ impl Coordinator {
         seed: u64,
         recorder: SharedRecorder,
         store: Box<dyn WalStore>,
-        group_commit: bool,
         strict: bool,
     ) -> io::Result<Self> {
         let core = ControlCore::new(config, seed, recorder.clone()).map_err(io::Error::other)?;
-        let commit = CommitShared::new(Some(store), group_commit, strict, recorder.clone());
+        let commit = CommitShared::new(Some(store), strict, recorder.clone());
         let state = State { core, recorder, commit, pending_wait: None };
         Self::serve(TcpListener::bind("127.0.0.1:0")?, state)
     }
@@ -835,11 +710,10 @@ impl Coordinator {
             let st = state.lock();
             st.recorder.gauge("coordinator_members", st.core.server().matrix().len() as f64);
         }
-        let committer = {
-            let inner = commit.inner.lock();
-            inner.enabled && inner.group
-        }
-        .then(|| {
+        // A durable coordinator always has a committer; a WAL-less one
+        // never queues anything for it.
+        let wal_configured = commit.inner.lock().enabled;
+        let committer = wal_configured.then(|| {
             let commit = Arc::clone(&commit);
             std::thread::spawn(move || committer_loop(&commit))
         });
@@ -944,7 +818,7 @@ impl Coordinator {
     pub fn shutdown(mut self) {
         self.stop_now();
         let st = self.state.lock();
-        let ck = st.checkpoint_record();
+        let ck = st.core.checkpoint();
         let mut inner = st.commit.inner.lock();
         if inner.enabled && !inner.degraded {
             if let (Ok(ck), Some(wal)) = (ck, inner.wal.as_mut()) {
@@ -1008,14 +882,6 @@ fn health_json_of(state: &Mutex<State>) -> String {
     // coordinator is *explicitly* not durable; a degraded one has lost
     // the guarantee mid-run.
     doc.insert("durable".to_string(), JsonValue::Bool(inner.enabled && !inner.degraded));
-    let mode = if !inner.enabled {
-        "none"
-    } else if inner.group {
-        "group"
-    } else {
-        "per_mutation"
-    };
-    doc.insert("commit_mode".to_string(), JsonValue::Str(mode.to_string()));
     if let Some(wal) = inner.wal.as_ref() {
         doc.insert("wal_bytes".to_string(), JsonValue::Int(wal.bytes() as i64));
         doc.insert("wal_records".to_string(), JsonValue::Int(wal.records() as i64));
@@ -1058,7 +924,8 @@ fn resync_sweep(state: &Mutex<State>) -> SweepReport {
                 // while we probed unlocked — only splice if the stale
                 // address is still the one on file.
                 if st.core.addrs().get(&node) == Some(&addr) {
-                    st.splice_out(node, None);
+                    let record = st.core.splice_out(node, None);
+                    st.log(record);
                     report.spliced += 1;
                 }
             }
@@ -1075,13 +942,9 @@ fn resync_sweep(state: &Mutex<State>) -> SweepReport {
 }
 
 /// Rebuilds coordinator state from the WAL at `wal.path`, returning the
-/// state plus `(records replayed, resync records among them)`.
-///
-/// Replay is pure data manipulation over a [`curtain_overlay::snapshot`]:
-/// a checkpoint record resets the fold, each mutation record edits the
-/// snapshot's row list, and the final snapshot goes through the public
-/// `CurtainServer::restore` round trip — no RNG, no insert policy, no
-/// re-derivation of decisions the dead coordinator already made.
+/// state plus `(records replayed, resync records among them)`. What the
+/// records do to `M`, and the invariants the result must satisfy, are
+/// [`ControlCore::replay`]'s; this side owns the file and the wall clock.
 fn replay_wal(
     wal: WalOptions,
     config: OverlayConfig,
@@ -1089,80 +952,10 @@ fn replay_wal(
     recorder: SharedRecorder,
     fence: bool,
 ) -> io::Result<(State, u64, u64)> {
-    let corrupt = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let (group_commit, strict) = (wal.group_commit, wal.strict);
+    let strict = wal.strict;
     let (records, wal) = Wal::open(&wal.path, wal.compact_threshold)?;
     let replayed = records.len() as u64;
-    let mut resynced = 0u64;
-    let mut persisted_epoch = 0u64;
-
-    let empty = CurtainServer::new(config).map_err(io::Error::other)?;
-    let mut snap = empty.snapshot();
-    let mut addrs: HashMap<NodeId, SocketAddr> = HashMap::new();
-    let mut source: Option<WalSourceInfo> = None;
-    let mut completed: HashSet<NodeId> = HashSet::new();
-
-    for record in records {
-        match record {
-            WalRecord::Checkpoint { server, addrs: a, source: s, completed: c, epoch } => {
-                persisted_epoch = persisted_epoch.max(epoch);
-                let restored = CurtainServer::from_json(&server)
-                    .map_err(|e| corrupt(format!("bad checkpoint: {e}")))?;
-                let ck = restored.config();
-                if ck.k != config.k || ck.d != config.d {
-                    return Err(corrupt(format!(
-                        "checkpoint is for k={}, d={}, not k={}, d={}",
-                        ck.k, ck.d, config.k, config.d
-                    )));
-                }
-                snap = restored.snapshot();
-                addrs = a.into_iter().map(|(n, ad)| (NodeId(n), ad)).collect();
-                source = s;
-                completed = c.into_iter().map(NodeId).collect();
-            }
-            WalRecord::RegisterSource(info) => source = Some(info),
-            WalRecord::Hello { node, position, threads, data_addr } => {
-                let pos = usize::try_from(position).map_err(io::Error::other)?;
-                if pos > snap.matrix.rows.len() {
-                    return Err(corrupt(format!(
-                        "hello for node {node} at position {pos} of {}",
-                        snap.matrix.rows.len()
-                    )));
-                }
-                snap.matrix.rows.insert(
-                    pos,
-                    RowSnapshot { node: NodeId(node), threads, status: NodeStatus::Working },
-                );
-                snap.next_id = snap.next_id.max(node + 1);
-                addrs.insert(NodeId(node), data_addr);
-            }
-            WalRecord::Resync { node, threads, data_addr } => {
-                resynced += 1;
-                snap.matrix.rows.push(RowSnapshot {
-                    node: NodeId(node),
-                    threads,
-                    status: NodeStatus::Working,
-                });
-                snap.next_id = snap.next_id.max(node + 1);
-                addrs.insert(NodeId(node), data_addr);
-            }
-            WalRecord::Goodbye { node } | WalRecord::Splice { node } => {
-                let node = NodeId(node);
-                snap.matrix.rows.retain(|r| r.node != node);
-                addrs.remove(&node);
-                completed.remove(&node);
-            }
-            WalRecord::Completed { node } => {
-                completed.insert(NodeId(node));
-            }
-        }
-    }
-
-    // The checkpointed epoch is an id-allocation high-water mark: ids
-    // granted before the checkpoint but spliced since leave no trace in
-    // the replayed matrix, yet may still be alive in a partitioned
-    // peer's view. Never allocate below it.
-    snap.next_id = snap.next_id.max(persisted_epoch);
+    let resynced = records.iter().filter(|r| matches!(r, WalRecord::Resync { .. })).count() as u64;
 
     // A lost WAL (zero records) means every id the dead incarnation ever
     // granted is unknown — if allocation restarted at 0, fresh grants
@@ -1173,50 +966,16 @@ fn replay_wal(
     // Fence allocation in both cases — wall clock alone is not enough
     // (clocks step backwards), so the fence is the max of all three
     // signals (see `Coordinator::fenced_next_id`).
-    if fence || replayed == 0 {
-        snap.next_id = Coordinator::fenced_next_id(wall_clock_ms(), snap.next_id, persisted_epoch);
-    }
-
-    // Assert the rebuilt M *before* restore (whose internal inserts would
-    // panic on violations): unique ids, exactly-d distinct in-range
-    // threads per row, and a dialable address per member.
-    let mut seen = HashSet::new();
-    for row in &snap.matrix.rows {
-        if !seen.insert(row.node) {
-            return Err(corrupt(format!("duplicate row for node {}", row.node)));
+    let next_id_floor = |observed_next, persisted_epoch| {
+        if fence || replayed == 0 {
+            Coordinator::fenced_next_id(wall_clock_ms(), observed_next, persisted_epoch)
+        } else {
+            observed_next
         }
-        let mut threads = row.threads.clone();
-        threads.sort_unstable();
-        threads.dedup();
-        if threads.len() != config.d || threads.iter().any(|&t| (t as usize) >= config.k) {
-            return Err(corrupt(format!(
-                "row for node {} does not hold exactly d={} distinct threads",
-                row.node, config.d
-            )));
-        }
-        if !addrs.contains_key(&row.node) {
-            return Err(corrupt(format!("member {} has no data address", row.node)));
-        }
-        if row.node.0 >= snap.next_id {
-            return Err(corrupt(format!("node {} at or above next_id", row.node)));
-        }
-    }
-    let mut server = CurtainServer::restore(snap).map_err(io::Error::other)?;
-    server.matrix().assert_invariants();
-    server.set_recorder(recorder.clone());
-    addrs.retain(|n, _| server.matrix().position_of(*n).is_some());
-    completed.retain(|n| server.matrix().position_of(*n).is_some());
-
-    let commit =
-        CommitShared::new(Some(Box::new(wal)), group_commit, strict, recorder.clone());
-    let core = ControlCore::from_parts(
-        server,
-        seed,
-        addrs,
-        source.map(core_source_of),
-        completed,
-        recorder.clone(),
-    );
+    };
+    let core = ControlCore::replay(config, seed, recorder.clone(), records, next_id_floor)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    let commit = CommitShared::new(Some(Box::new(wal)), strict, recorder.clone());
     Ok((State { core, recorder, commit, pending_wait: None }, replayed, resynced))
 }
 
@@ -1296,8 +1055,8 @@ fn handle_connection(
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let request = proto::read_request(stream)?;
     let (mut response, wait) = state.lock().handle(request);
-    // Group commit: the response computed above is not released until
-    // the batch holding this mutation's WAL record is fsynced. The
+    // The response computed above is not released until the batch
+    // holding this mutation's WAL record is fsynced. The
     // state lock is NOT held here — other mutations pile into the same
     // batch while we wait, which is the whole point.
     if let Some(seq) = wait {
@@ -1307,9 +1066,8 @@ fn handle_connection(
                 if commit.strict() {
                     response = unavailable();
                 }
-                // Lenient mode serves the non-durable response, exactly
-                // as per-mutation lenient mode does — but degraded mode
-                // has already been entered and telemetered.
+                // Lenient mode serves the non-durable response; degraded
+                // mode has already been entered and telemetered.
             }
         }
     }
@@ -1320,7 +1078,7 @@ fn handle_connection(
 mod tests {
     use super::*;
     use crate::proto::ParentAddr;
-    use curtain_overlay::Holder;
+    use curtain_overlay::{CurtainServer, Holder};
     use std::time::Duration;
 
     const T: Duration = Duration::from_secs(2);
@@ -1335,6 +1093,31 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(resp, Response::Error { .. }));
+    }
+
+    #[test]
+    fn an_over_limit_request_line_is_dropped_not_buffered() {
+        use crate::core::wire::MAX_REQUEST_LINE;
+        use std::io::{Read, Write};
+
+        let c = Coordinator::start(OverlayConfig::new(4, 2)).unwrap();
+        assert_eq!(register(c.addr(), 9050), Response::Ok);
+        let _ = hello(c.addr(), 9051);
+        let mut raw = TcpStream::connect(c.addr()).unwrap();
+        raw.set_read_timeout(Some(T)).unwrap();
+        // The handler may hang up (and reset) before the last byte lands.
+        let _ = raw.write_all(&vec![b'x'; MAX_REQUEST_LINE as usize + 1]);
+        // The handler returns at the cap instead of waiting for a newline:
+        // the connection closes well inside the 5 s socket timeout.
+        let mut byte = [0u8; 1];
+        match raw.read(&mut byte) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("handler kept the connection open: {other:?}"),
+        }
+        assert_eq!(c.members(), 1);
+        let resp = proto::call(c.addr(), &Request::Stats, T).unwrap();
+        assert_eq!(resp, Response::Stats { members: 1, completed: 0, repairs: 0 });
     }
 
     #[test]
@@ -1841,7 +1624,6 @@ mod tests {
             31,
             SharedRecorder::wall_clock(sink.clone()),
             store,
-            false, // per-mutation: the failure surfaces inside the request
             false, // lenient: serve from memory, loudly
         )
         .unwrap();
@@ -1849,8 +1631,9 @@ mod tests {
         let _ = hello(c.addr(), 9801);
         assert!(c.health_json().contains("\"durable\":true"), "{}", c.health_json());
 
-        // Disk goes bad: the very next mutation is served (lenient) but
-        // the coordinator announces degradation and flips /health.
+        // Disk goes bad: the mutation whose batch hits the failing fsync is
+        // still served (lenient) but the coordinator announces degradation
+        // and flips /health before that response leaves.
         fail_sync.store(true, Ordering::SeqCst);
         let _ = hello(c.addr(), 9802);
         let health = c.health_json();
@@ -1881,7 +1664,6 @@ mod tests {
             32,
             SharedRecorder::null(),
             store,
-            true, // group commit: the failure surfaces at the batch fsync
             true, // strict: refuse non-durable mutations
         )
         .unwrap();
@@ -1911,10 +1693,9 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_survive_kill_and_recover() {
-        let path = wal_dir().join("group_commit_recover.wal");
-        let wal = WalOptions::new(&path); // group commit is the default
-        assert!(wal.group_commit);
+    fn commit_batches_survive_kill_and_recover() {
+        let path = wal_dir().join("commit_batches_recover.wal");
+        let wal = WalOptions::new(&path);
         let c = Coordinator::start_durable(
             OverlayConfig::new(4, 2),
             33,
@@ -1953,7 +1734,6 @@ mod tests {
             34,
             SharedRecorder::null(),
             store,
-            false,
             false,
         )
         .unwrap();
@@ -2052,7 +1832,7 @@ mod tests {
             OverlayConfig::new(4, 2),
             36,
             SharedRecorder::null(),
-            &WalOptions::new(&path).with_compact_threshold(1).with_group_commit(false),
+            &WalOptions::new(&path).with_compact_threshold(1),
         )
         .unwrap();
         assert_eq!(register(c.addr(), 9860), Response::Ok);

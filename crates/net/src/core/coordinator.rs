@@ -3,17 +3,20 @@
 //! [`ControlCore`] owns everything the protocol needs to answer a
 //! request — the paper's matrix `M` (a [`CurtainServer`]), the member
 //! address book, the registered source, the completion set — and nothing
-//! it does not: no sockets, no WAL, no locks, no threads. One call,
-//! [`ControlCore::dispatch`], turns a [`CtrlRequest`] into a
-//! [`CoreOutcome`]:
+//! it does not: no sockets, no WAL, no locks, no threads. It is also the
+//! one place that knows what a [`Record`] does to `M`:
 //!
-//! * [`CoreOutcome::Done`] — the response to send, plus the list of
-//!   [`Mutation`]s the driver must make durable (the TCP driver maps
-//!   each onto a `WalRecord` and runs its commit machinery; the vnet
-//!   driver drops them — a simulated coordinator keeps no log).
-//! * [`CoreOutcome::Driver`] — the request touches durability state the
-//!   core deliberately does not model (`SnapshotFetch`, `WalTail`), so
-//!   the driver answers it from its commit queue.
+//! * [`ControlCore::dispatch`] turns a [`CtrlRequest`] into a
+//!   [`CoreOutcome`]: [`CoreOutcome::Done`] carries the response to send
+//!   plus the [`Record`]s the request caused (the TCP driver appends them
+//!   to its WAL as they are and runs its commit machinery; the vnet
+//!   driver drops them — a simulated coordinator keeps no log);
+//!   [`CoreOutcome::Driver`] hands back a request that touches commit
+//!   state the core deliberately does not model (`SnapshotFetch`,
+//!   `WalTail`), so the driver answers it from its commit queue.
+//! * [`ControlCore::checkpoint`] renders the whole state as one record.
+//! * [`ControlCore::replay`] folds a record stream back into a core and
+//!   checks the row invariants before anything is served from it.
 //!
 //! The core is generic over the address type, so the same dispatch logic
 //! serves real `SocketAddr`s over TCP and vnet endpoint ids inside
@@ -21,6 +24,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use curtain_overlay::snapshot::RowSnapshot;
 use curtain_overlay::{CurtainServer, Holder, NodeId, NodeStatus, OverlayConfig, ThreadId};
 use curtain_telemetry::trace::{fresh_id, COORDINATOR_NODE};
 use curtain_telemetry::{Event, SharedRecorder, TraceContext};
@@ -28,67 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::core::ctrl::{CtrlParent, CtrlRequest, CtrlRequest as Request, CtrlResponse, WireAddr};
-
-/// The registered source: its data listener and the content shape, at
-/// whatever address type the transport speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceInfo<A> {
-    /// Source data-plane listener (as advertised to peers).
-    pub addr: A,
-    /// Number of generations.
-    pub generations: usize,
-    /// Packets per generation.
-    pub generation_size: usize,
-    /// Bytes per packet.
-    pub packet_len: usize,
-    /// Original (unpadded) object length.
-    pub content_len: usize,
-}
-
-/// One matrix mutation the driver must make durable before (or while —
-/// that is the driver's commit policy, not the core's) the response
-/// leaves. Mirrors the WAL record set minus checkpoints, which are a
-/// durability artifact the core does not know about.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Mutation<A> {
-    /// The source registered (or re-registered at the same address).
-    RegisterSource(SourceInfo<A>),
-    /// A hello was granted: the row as inserted.
-    Hello {
-        /// Assigned node id.
-        node: u64,
-        /// Matrix position the row was inserted at.
-        position: u64,
-        /// The row's thread set.
-        threads: Vec<ThreadId>,
-        /// The peer's data-plane listener.
-        data_addr: A,
-    },
-    /// An amnesiac coordinator re-admitted a row from a peer's resync.
-    Resync {
-        /// The re-admitted node (keeps its old id).
-        node: u64,
-        /// The row's thread set (sorted).
-        threads: Vec<ThreadId>,
-        /// The peer's data-plane listener.
-        data_addr: A,
-    },
-    /// A peer left gracefully.
-    Goodbye {
-        /// The departed node.
-        node: u64,
-    },
-    /// A failed peer was spliced out of `M`.
-    Splice {
-        /// The spliced node.
-        node: u64,
-    },
-    /// A peer reported full decode.
-    Completed {
-        /// The node.
-        node: u64,
-    },
-}
+use crate::core::record::{Record, SourceInfo};
 
 /// What [`ControlCore::dispatch`] decided.
 #[derive(Debug)]
@@ -101,7 +45,7 @@ pub enum CoreOutcome<A: WireAddr> {
         response: CtrlResponse<A>,
         /// Matrix mutations this request caused, in application order.
         /// Applied to memory already; the driver only persists them.
-        effects: Vec<Mutation<A>>,
+        effects: Vec<Record<A>>,
     },
     /// A durability verb (`SnapshotFetch` / `WalTail`) the driver must
     /// answer from its commit state; the core has no opinion.
@@ -138,26 +82,145 @@ impl<A: WireAddr> ControlCore<A> {
         })
     }
 
-    /// Rebuilds a core from replayed state — the recovery path: the
-    /// driver replays its WAL into a `server` + address book + source +
-    /// completion set and hands them over.
-    #[must_use]
-    pub fn from_parts(
-        server: CurtainServer,
+    /// Rebuilds a core by folding a record stream — the recovery path.
+    ///
+    /// Replay is pure data manipulation over a
+    /// [`curtain_overlay::snapshot`]: a checkpoint record resets the fold,
+    /// each mutation record edits the snapshot's row list, and the final
+    /// snapshot goes through the public `CurtainServer::restore` round
+    /// trip — no RNG, no insert policy, no re-derivation of decisions the
+    /// dead coordinator already made.
+    ///
+    /// `fence(observed_next, persisted_epoch)` names the id below which
+    /// the rebuilt core must not allocate; it can only raise the floor.
+    /// The driver owns it because the wall clock is one of its inputs.
+    ///
+    /// # Errors
+    ///
+    /// Describes a configuration error, a checkpoint for another `(k, d)`,
+    /// or a replayed `M` that violates the row invariants: unique ids,
+    /// exactly `d` distinct in-range threads per row, an address per
+    /// member, every id below `next_id`.
+    pub fn replay(
+        config: OverlayConfig,
         seed: u64,
-        addrs: HashMap<NodeId, A>,
-        source: Option<SourceInfo<A>>,
-        completed: HashSet<NodeId>,
         recorder: SharedRecorder,
-    ) -> Self {
-        ControlCore {
-            server,
-            rng: StdRng::seed_from_u64(seed),
-            addrs,
-            source,
-            completed,
-            recorder,
+        records: impl IntoIterator<Item = Record<A>>,
+        fence: impl FnOnce(u64, u64) -> u64,
+    ) -> Result<Self, String> {
+        let mut core = Self::new(config, seed, recorder.clone())?;
+        let mut snap = core.server.snapshot();
+        let mut persisted_epoch = 0u64;
+        let working = |node, threads| RowSnapshot { node, threads, status: NodeStatus::Working };
+
+        for record in records {
+            match record {
+                Record::Checkpoint { server, addrs, source, completed, epoch } => {
+                    persisted_epoch = persisted_epoch.max(epoch);
+                    let restored = CurtainServer::from_json(&server)
+                        .map_err(|e| format!("bad checkpoint: {e}"))?;
+                    let ck = restored.config();
+                    if ck.k != config.k || ck.d != config.d {
+                        return Err(format!(
+                            "checkpoint is for k={}, d={}, not k={}, d={}",
+                            ck.k, ck.d, config.k, config.d
+                        ));
+                    }
+                    snap = restored.snapshot();
+                    core.addrs = addrs.into_iter().map(|(n, a)| (NodeId(n), a)).collect();
+                    core.source = source;
+                    core.completed = completed.into_iter().map(NodeId).collect();
+                }
+                Record::RegisterSource(info) => core.source = Some(info),
+                Record::Hello { node, position, threads, data_addr } => {
+                    let pos = usize::try_from(position).map_err(|e| e.to_string())?;
+                    if pos > snap.matrix.rows.len() {
+                        return Err(format!(
+                            "hello for node {node} at position {pos} of {}",
+                            snap.matrix.rows.len()
+                        ));
+                    }
+                    snap.matrix.rows.insert(pos, working(NodeId(node), threads));
+                    snap.next_id = snap.next_id.max(node.saturating_add(1));
+                    core.addrs.insert(NodeId(node), data_addr);
+                }
+                Record::Resync { node, threads, data_addr } => {
+                    snap.matrix.rows.push(working(NodeId(node), threads));
+                    snap.next_id = snap.next_id.max(node.saturating_add(1));
+                    core.addrs.insert(NodeId(node), data_addr);
+                }
+                Record::Goodbye { node } | Record::Splice { node } => {
+                    let node = NodeId(node);
+                    snap.matrix.rows.retain(|r| r.node != node);
+                    core.addrs.remove(&node);
+                    core.completed.remove(&node);
+                }
+                Record::Completed { node } => {
+                    core.completed.insert(NodeId(node));
+                }
+            }
         }
+
+        // The checkpointed epoch is an id-allocation high-water mark: ids
+        // granted before the checkpoint but spliced since leave no trace in
+        // the replayed matrix, yet may still be alive in a partitioned
+        // peer's view. Never allocate below it.
+        snap.next_id = snap.next_id.max(persisted_epoch);
+        snap.next_id = snap.next_id.max(fence(snap.next_id, persisted_epoch));
+
+        // Assert the rebuilt M *before* restore (whose internal inserts
+        // would panic on violations).
+        let mut seen = HashSet::new();
+        for row in &snap.matrix.rows {
+            if !seen.insert(row.node) {
+                return Err(format!("duplicate row for node {}", row.node));
+            }
+            let mut threads = row.threads.clone();
+            threads.sort_unstable();
+            threads.dedup();
+            if threads.len() != config.d || threads.iter().any(|&t| (t as usize) >= config.k) {
+                return Err(format!(
+                    "row for node {} does not hold exactly d={} distinct threads",
+                    row.node, config.d
+                ));
+            }
+            if !core.addrs.contains_key(&row.node) {
+                return Err(format!("member {} has no data address", row.node));
+            }
+            if row.node.0 >= snap.next_id {
+                return Err(format!("node {} at or above next_id", row.node));
+            }
+        }
+        let mut server = CurtainServer::restore(snap).map_err(|e| e.to_string())?;
+        server.matrix().assert_invariants();
+        server.set_recorder(recorder);
+        core.addrs.retain(|n, _| server.matrix().position_of(*n).is_some());
+        core.completed.retain(|n| server.matrix().position_of(*n).is_some());
+        core.server = server;
+        Ok(core)
+    }
+
+    /// The full state as one record — what compaction rewrites the log to
+    /// and what a bootstrapping standby fetches. The embedded epoch is the
+    /// id-allocation high-water mark, which fences post-recovery grants
+    /// against clock steps.
+    ///
+    /// # Errors
+    ///
+    /// Propagates overlay serialization errors.
+    pub fn checkpoint(&self) -> Result<Record<A>, String> {
+        let server = self.server.to_json().map_err(|e| e.to_string())?;
+        let mut addrs: Vec<(u64, A)> = self.addrs.iter().map(|(n, a)| (n.0, *a)).collect();
+        addrs.sort_unstable_by_key(|(n, _)| *n);
+        let mut completed: Vec<u64> = self.completed.iter().map(|n| n.0).collect();
+        completed.sort_unstable();
+        Ok(Record::Checkpoint {
+            server,
+            addrs,
+            source: self.source,
+            completed,
+            epoch: self.server.next_node_id(),
+        })
     }
 
     /// The embedded overlay server (the matrix `M` and its metrics).
@@ -243,29 +306,18 @@ impl<A: WireAddr> ControlCore<A> {
     }
 
     /// Marks `failed` failed and splices it out of `M` — report, repair,
-    /// telemetry — returning the mutations the driver must persist.
-    /// Shared by the complaint handler and the proactive resync sweep.
-    pub fn splice_out(&mut self, failed: NodeId, ctx: Option<TraceContext>) -> Vec<Mutation<A>> {
-        let mut effects = Vec::new();
-        self.splice_out_into(failed, ctx, &mut effects);
-        effects
-    }
-
-    fn splice_out_into(
-        &mut self,
-        failed: NodeId,
-        ctx: Option<TraceContext>,
-        effects: &mut Vec<Mutation<A>>,
-    ) {
+    /// telemetry — returning the record the driver must persist. Shared
+    /// by the complaint handler and the proactive resync sweep.
+    pub fn splice_out(&mut self, failed: NodeId, ctx: Option<TraceContext>) -> Record<A> {
         let splice_span = self.span_start(ctx, "splice");
         let _ = self.server.report_failure(failed);
         let _ = self.server.repair(failed);
         self.addrs.remove(&failed);
         self.completed.remove(&failed);
-        effects.push(Mutation::Splice { node: failed.0 });
         self.recorder.record(&Event::PeerDisconnect { peer: failed.0 });
         self.recorder.gauge("coordinator_members", self.server.matrix().len() as f64);
         self.span_end(splice_span, true);
+        Record::Splice { node: failed.0 }
     }
 
     /// Handles one control request. Durability verbs come back as
@@ -309,7 +361,7 @@ impl<A: WireAddr> ControlCore<A> {
                     content_len,
                 };
                 self.source = Some(info);
-                effects.push(Mutation::RegisterSource(info));
+                effects.push(Record::RegisterSource(info));
                 CtrlResponse::Ok
             }
             Request::Hello { data_addr } => {
@@ -323,7 +375,7 @@ impl<A: WireAddr> ControlCore<A> {
                 };
                 let grant = self.server.hello(&mut self.rng);
                 self.addrs.insert(grant.node, data_addr);
-                effects.push(Mutation::Hello {
+                effects.push(Record::Hello {
                     node: grant.node.0,
                     position: grant.position as u64,
                     threads: grant.parents.iter().map(|(t, _)| *t).collect(),
@@ -359,7 +411,7 @@ impl<A: WireAddr> ControlCore<A> {
             Request::Goodbye { node } => match self.server.goodbye(node) {
                 Ok(_) => {
                     self.addrs.remove(&node);
-                    effects.push(Mutation::Goodbye { node: node.0 });
+                    effects.push(Record::Goodbye { node: node.0 });
                     self.recorder.record(&Event::PeerDisconnect { peer: node.0 });
                     self.recorder
                         .gauge("coordinator_members", self.server.matrix().len() as f64);
@@ -380,7 +432,7 @@ impl<A: WireAddr> ControlCore<A> {
                         // stitched repair-episode tree then shows the
                         // coordinator-side step between complain and
                         // repair-complete.
-                        self.splice_out_into(failed, ctx, &mut effects);
+                        effects.push(self.splice_out(failed, ctx));
                     }
                 }
                 match self.current_parent(child, thread) {
@@ -390,7 +442,7 @@ impl<A: WireAddr> ControlCore<A> {
             }
             Request::Completed { node } => {
                 if self.completed.insert(node) {
-                    effects.push(Mutation::Completed { node: node.0 });
+                    effects.push(Record::Completed { node: node.0 });
                 }
                 CtrlResponse::Ok
             }
@@ -408,7 +460,7 @@ impl<A: WireAddr> ControlCore<A> {
                 match self.server.readmit(node, threads.clone(), NodeStatus::Working) {
                     Ok(_) => {
                         self.addrs.insert(node, data_addr);
-                        effects.push(Mutation::Resync {
+                        effects.push(Record::Resync {
                             node: node.0,
                             threads: threads.clone(),
                             data_addr,
@@ -467,7 +519,7 @@ mod tests {
         ControlCore::new(OverlayConfig::new(4, 2), 7, SharedRecorder::null()).unwrap()
     }
 
-    fn done(outcome: CoreOutcome<Slot>) -> (CtrlResponse<Slot>, Vec<Mutation<Slot>>) {
+    fn done(outcome: CoreOutcome<Slot>) -> (CtrlResponse<Slot>, Vec<Record<Slot>>) {
         match outcome {
             CoreOutcome::Done { response, effects } => (response, effects),
             CoreOutcome::Driver(r) => panic!("unexpected driver outcome for {r:?}"),
@@ -484,7 +536,7 @@ mod tests {
         }));
         assert_eq!(resp, CtrlResponse::Ok);
         assert_eq!(effects.len(), 1);
-        assert!(matches!(effects[0], Mutation::RegisterSource(_)));
+        assert!(matches!(effects[0], Record::RegisterSource(_)));
     }
 
     #[test]
@@ -506,7 +558,7 @@ mod tests {
         assert_eq!(generation_size, 8);
         assert_eq!(parents.len(), 2);
         assert!(parents.iter().all(|(_, p)| matches!(p, CtrlParent::Source(Slot(1000)))));
-        let [Mutation::Hello { node: n, threads, data_addr, .. }] = &effects[..] else {
+        let [Record::Hello { node: n, threads, data_addr, .. }] = &effects[..] else {
             panic!("expected one hello mutation, got {effects:?}");
         };
         assert_eq!(*n, node.0);
@@ -514,7 +566,7 @@ mod tests {
         assert_eq!(*data_addr, Slot(1));
         // Completion books once, then goes idempotent (no second record).
         let (_, effects) = done(core.dispatch(Request::Completed { node }));
-        assert_eq!(effects, vec![Mutation::Completed { node: node.0 }]);
+        assert_eq!(effects, vec![Record::Completed { node: node.0 }]);
         let (_, effects) = done(core.dispatch(Request::Completed { node }));
         assert!(effects.is_empty());
     }
@@ -577,7 +629,7 @@ mod tests {
         };
         assert_eq!(t, thread);
         assert_ne!(new_parent.node(), Some(failed), "redirected back at the corpse");
-        assert_eq!(effects, vec![Mutation::Splice { node: failed.0 }]);
+        assert_eq!(effects, vec![Record::Splice { node: failed.0 }]);
         assert!(core.server().matrix().position_of(failed).is_none());
         // A duplicate complaint finds the node gone: redirect, no splice.
         let (resp, effects) = done(core.dispatch(Request::Complaint {
@@ -618,8 +670,132 @@ mod tests {
             ctx: None,
         }));
         assert_eq!(resp, CtrlResponse::Ok);
-        assert!(matches!(&effects[..], [Mutation::Resync { node: n, .. }] if *n == node.0));
+        assert!(matches!(&effects[..], [Record::Resync { node: n, .. }] if *n == node.0));
         assert!(core.server().matrix().position_of(node).is_some());
+    }
+
+    fn replay(records: Vec<Record<Slot>>) -> Result<ControlCore<Slot>, String> {
+        let config = OverlayConfig::new(4, 2);
+        ControlCore::replay(config, 99, SharedRecorder::null(), records, |next, _| next)
+    }
+
+    /// `M`'s rows in matrix order — position is load-bearing (it decides
+    /// every holder relation), so replay must reproduce it exactly.
+    fn rows(core: &ControlCore<Slot>) -> Vec<(NodeId, Vec<ThreadId>)> {
+        core.server().matrix().rows().iter().map(|r| (r.node(), r.threads().to_vec())).collect()
+    }
+
+    #[test]
+    fn replaying_what_dispatch_emitted_rebuilds_the_same_core() {
+        type Log = Vec<Record<Slot>>;
+        fn drive(
+            live: &mut ControlCore<Slot>,
+            log: &mut Log,
+            request: Request<Slot>,
+        ) -> CtrlResponse<Slot> {
+            let (response, effects) = done(live.dispatch(request));
+            log.extend(effects);
+            response
+        }
+        let (mut live, mut log) = (core(), Log::new());
+        drive(
+            &mut live,
+            &mut log,
+            Request::RegisterSource {
+                data_addr: Slot(1000),
+                generations: 1,
+                generation_size: 8,
+                packet_len: 64,
+                content_len: 512,
+            },
+        );
+        let mut members = Vec::new();
+        for slot in 1..=6u64 {
+            let resp = drive(&mut live, &mut log, Request::Hello { data_addr: Slot(slot) });
+            let CtrlResponse::Welcome { node, parents, .. } = resp else { panic!("{resp:?}") };
+            members.push((node, parents));
+        }
+        let (leaver, leaver_parents) = members.remove(1);
+        let resp = drive(&mut live, &mut log, Request::Goodbye { node: leaver });
+        assert_eq!(resp, CtrlResponse::Ok);
+        // A checkpoint taken here is spliced into the stream further down.
+        let (checkpoint, checkpoint_at) = (live.checkpoint().unwrap(), log.len());
+        // Complain about some member's node parent: the accused is spliced.
+        let (child, thread, accused) = members
+            .iter()
+            .find_map(|(n, _)| {
+                let pos = live.server().matrix().position_of(*n)?;
+                live.server().matrix().parents_of_position(pos).into_iter().find_map(
+                    |(t, holder)| match holder {
+                        Holder::Node(p) => Some((*n, t, p)),
+                        Holder::Server => None,
+                    },
+                )
+            })
+            .expect("with five members some thread has a node parent");
+        let complaint =
+            Request::Complaint { child, failed_parent: Some(accused), thread, ctx: None };
+        let resp = drive(&mut live, &mut log, complaint);
+        assert!(matches!(resp, CtrlResponse::Redirect { .. }), "{resp:?}");
+        drive(&mut live, &mut log, Request::Completed { node: child });
+        // The leaver comes back through the amnesia path, keeping its id.
+        let view = leaver_parents.iter().map(|(t, p)| (*t, p.node())).collect();
+        let resync =
+            Request::Resync { node: leaver, data_addr: Slot(77), parents: view, ctx: None };
+        assert_eq!(drive(&mut live, &mut log, resync), CtrlResponse::Ok);
+        assert!(matches!(
+            &log[..],
+            [Record::RegisterSource(_), Record::Hello { .. }, .., Record::Goodbye { .. },
+             Record::Splice { .. }, Record::Completed { .. }, Record::Resync { .. }]
+        ));
+
+        let mut with_checkpoint = log.clone();
+        with_checkpoint.insert(checkpoint_at, checkpoint);
+        for stream in [log, with_checkpoint] {
+            let rebuilt = replay(stream).unwrap();
+            assert_eq!(rows(&rebuilt), rows(&live));
+            assert_eq!(rebuilt.addrs(), live.addrs());
+            assert_eq!(rebuilt.source(), live.source());
+            assert_eq!(rebuilt.completed(), live.completed());
+            assert!(rebuilt.server().next_node_id() >= live.server().next_node_id());
+        }
+    }
+
+    #[test]
+    fn replay_rejects_streams_that_break_the_row_invariants() {
+        let hello = |node, position, threads: &[ThreadId]| Record::Hello {
+            node,
+            position,
+            threads: threads.to_vec(),
+            data_addr: Slot(node),
+        };
+        let mut member = core();
+        register(&mut member);
+        let _ = member.dispatch(Request::Hello { data_addr: Slot(1) });
+        let Record::Checkpoint { server, source, completed, epoch, .. } =
+            member.checkpoint().unwrap()
+        else {
+            panic!("checkpoint() returned another variant");
+        };
+        let unaddressed = Record::Checkpoint { server, addrs: vec![], source, completed, epoch };
+        let other_shape: ControlCore<Slot> =
+            ControlCore::new(OverlayConfig::new(8, 3), 7, SharedRecorder::null()).unwrap();
+        let cases: [(&str, Vec<Record<Slot>>, &str); 6] = [
+            ("hello past the end of M", vec![hello(0, 1, &[0, 1])], "position 1 of 0"),
+            ("duplicate node", vec![hello(0, 0, &[0, 1]), hello(0, 1, &[2, 3])], "duplicate row"),
+            ("d-1 threads", vec![hello(0, 0, &[2])], "exactly d=2 distinct threads"),
+            ("thread >= k", vec![hello(0, 0, &[0, 4])], "exactly d=2 distinct threads"),
+            ("member without address", vec![unaddressed], "has no data address"),
+            ("checkpoint for another (k, d)", vec![other_shape.checkpoint().unwrap()], "k=8, d=3"),
+        ];
+        for (name, stream, needle) in cases {
+            match replay(stream) {
+                Ok(_) => panic!("{name}: replay accepted the stream"),
+                Err(reason) => assert!(reason.contains(needle), "{name}: {reason}"),
+            }
+        }
+        // The well-formed neighbours of those streams are accepted.
+        assert_eq!(rows(&replay(vec![hello(0, 0, &[0, 3])]).unwrap()).len(), 1);
     }
 
     /// [`Reply::of`] is pinned to what a complaint really gets back, not

@@ -597,13 +597,13 @@ fn parse_ctx(v: &JsonValue) -> Option<TraceContext> {
     Some(TraceContext { trace, span })
 }
 
-fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
+pub(super) fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(JsonValue::as_u64)
         .ok_or_else(|| format!("missing or non-integer field {key:?}"))
 }
 
-fn field_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
+pub(super) fn field_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
     usize::try_from(field_u64(v, key)?).map_err(|_| format!("field {key:?} overflows usize"))
 }
 
@@ -611,7 +611,7 @@ fn field_thread(v: &JsonValue) -> Result<ThreadId, String> {
     ThreadId::try_from(field_u64(v, "thread")?).map_err(|_| "thread overflows u16".to_string())
 }
 
-fn parse_addr_field<A: WireAddr>(v: &JsonValue, key: &str) -> Result<A, String> {
+pub(super) fn parse_addr_field<A: WireAddr>(v: &JsonValue, key: &str) -> Result<A, String> {
     A::parse(
         v.get(key)
             .and_then(JsonValue::as_str)
@@ -623,6 +623,9 @@ fn parse_addr_field<A: WireAddr>(v: &JsonValue, key: &str) -> Result<A, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::record::{Record, SourceInfo};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A toy address type: proves the codec is address-agnostic.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -640,16 +643,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn generic_messages_round_trip_over_a_synthetic_address_type() {
-        let reqs = vec![
-            CtrlRequest::Hello { data_addr: Slot(4) },
-            CtrlRequest::Resync {
-                node: NodeId(17),
-                data_addr: Slot(9),
-                parents: vec![(0, Some(NodeId(2))), (3, None)],
-                ctx: Some(TraceContext { trace: 7, span: 9 }),
-            },
+    /// One message per variant of the three JSON vocabularies a network
+    /// peer can reach: requests, responses, and the record payloads a
+    /// standby parses out of a `WalSegment`.
+    type Samples = (Vec<CtrlRequest<Slot>>, Vec<CtrlResponse<Slot>>, Vec<Record<Slot>>);
+
+    fn one_of_each_variant() -> Samples {
+        let ctx = Some(TraceContext { trace: 7, span: 9 });
+        let source = SourceInfo {
+            addr: Slot(0),
+            generations: 3,
+            generation_size: 16,
+            packet_len: 1024,
+            content_len: 40_000,
+        };
+        let node_parent = CtrlParent::Node(NodeId(8), Slot(11));
+        let requests = vec![
             CtrlRequest::RegisterSource {
                 data_addr: Slot(0),
                 generations: 3,
@@ -657,31 +666,124 @@ mod tests {
                 packet_len: 1024,
                 content_len: 40_000,
             },
+            CtrlRequest::Hello { data_addr: Slot(4) },
+            CtrlRequest::Goodbye { node: NodeId(3) },
+            CtrlRequest::Complaint {
+                child: NodeId(4),
+                failed_parent: Some(NodeId(1)),
+                thread: 7,
+                ctx,
+            },
+            CtrlRequest::Completed { node: NodeId(9) },
+            CtrlRequest::Resync {
+                node: NodeId(17),
+                data_addr: Slot(9),
+                parents: vec![(0, Some(NodeId(2))), (3, None)],
+                ctx,
+            },
+            CtrlRequest::Stats,
+            CtrlRequest::SnapshotFetch,
+            CtrlRequest::WalTail { after: 12 },
         ];
-        for r in reqs {
-            let s = r.to_json_line();
-            assert_eq!(CtrlRequest::<Slot>::parse_json_line(&s).expect(&s), r, "line: {s}");
-        }
-        let resps = vec![
+        let records = vec![
+            Record::Checkpoint {
+                server: r#"{"k":4}"#.into(),
+                addrs: vec![(7, Slot(7))],
+                source: Some(source),
+                completed: vec![1],
+                epoch: 1_700_000_000_000,
+            },
+            Record::RegisterSource(source),
+            Record::Hello { node: 1, position: 1, threads: vec![0, 2], data_addr: Slot(2) },
+            Record::Resync { node: 7, threads: vec![0, 1], data_addr: Slot(7) },
+            Record::Goodbye { node: 1 },
+            Record::Splice { node: 0 },
+            Record::Completed { node: 1 },
+        ];
+        let responses = vec![
             CtrlResponse::Welcome {
                 node: NodeId(1),
                 generations: 3,
                 generation_size: 16,
                 packet_len: 1024,
                 content_len: 40_000,
-                parents: vec![
-                    (0, CtrlParent::Source(Slot(1))),
-                    (5, CtrlParent::Node(NodeId(2), Slot(3))),
-                ],
+                parents: vec![(0, CtrlParent::Source(Slot(1))), (5, node_parent)],
             },
-            CtrlResponse::Redirect {
-                thread: 7,
-                new_parent: CtrlParent::Node(NodeId(8), Slot(11)),
-            },
+            CtrlResponse::Redirect { thread: 7, new_parent: node_parent },
+            CtrlResponse::Stats { members: 3, completed: 1, repairs: 2 },
+            CtrlResponse::Ok,
+            CtrlResponse::Unavailable { reason: "wal degraded".into() },
+            CtrlResponse::Snapshot { seq: 5, record: records[0].to_json() },
+            CtrlResponse::WalSegment { last: 6, records: vec![records[2].to_json()] },
+            CtrlResponse::Error { reason: "unknown child 4".into() },
         ];
-        for r in resps {
+        (requests, responses, records)
+    }
+
+    #[test]
+    fn generic_messages_round_trip_over_a_synthetic_address_type() {
+        let (requests, responses, records) = one_of_each_variant();
+        for r in requests {
+            let s = r.to_json_line();
+            assert_eq!(CtrlRequest::<Slot>::parse_json_line(&s).expect(&s), r, "line: {s}");
+        }
+        for r in responses {
             let s = r.to_json_line();
             assert_eq!(CtrlResponse::<Slot>::parse_json_line(&s).expect(&s), r, "line: {s}");
+        }
+        for r in records {
+            let s = r.to_json();
+            assert_eq!(Record::<Slot>::parse_json(&s).expect(&s), r, "payload: {s}");
+        }
+    }
+
+    /// The `wire.rs` `untrusted_bytes_never_panic_a_decoder` pattern for
+    /// the JSON decoders: each call must come back `Ok` or `Err`.
+    #[test]
+    fn untrusted_lines_never_panic_a_json_decoder() {
+        fn feed(bytes: &[u8]) {
+            let text = String::from_utf8_lossy(bytes);
+            let _ = CtrlRequest::<Slot>::parse_json_line(&text);
+            let _ = CtrlResponse::<Slot>::parse_json_line(&text);
+            let _ = Record::<Slot>::parse_json(&text);
+        }
+        let mut rng = StdRng::seed_from_u64(0xF023);
+
+        // (i) Arbitrary strings; half drawn from JSON's own alphabet so
+        // some get past the tokenizer.
+        const JSONISH: &[u8] = br#"{}[]":,-0123456789.eE\ntrufalsq"#;
+        for round in 0..4000 {
+            let len = rng.random_range(0..=96);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match round % 2 {
+                    0 => rng.random(),
+                    _ => JSONISH[rng.random_range(0..JSONISH.len())],
+                })
+                .collect();
+            feed(&bytes);
+        }
+
+        let (requests, responses, records) = one_of_each_variant();
+        let lines = requests
+            .iter()
+            .map(CtrlRequest::to_json_line)
+            .chain(responses.iter().map(CtrlResponse::to_json_line))
+            .chain(records.iter().map(Record::to_json));
+        for line in lines {
+            let line = line.into_bytes();
+            // (ii) Each valid line with one to three bytes flipped.
+            for _ in 0..200 {
+                let mut bent = line.clone();
+                for _ in 0..rng.random_range(1..=3) {
+                    let at = rng.random_range(0..bent.len());
+                    bent[at] ^= rng.random_range(1..=255u8);
+                }
+                feed(&bent);
+            }
+            // (iii) The same line truncated at every length.
+            for cut in 0..line.len() {
+                feed(&line[..cut]);
+            }
         }
     }
 

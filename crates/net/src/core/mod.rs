@@ -23,14 +23,18 @@
 //!   both drivers feed, on an explicit microsecond clock.
 //! * [`peer`] — per-object decoding state and upstream-thread logic.
 //! * [`source`] — emission scheduling (round-robin and windowed).
+//! * [`record`] — the one record of a change to `M` and its JSON form:
+//!   what the coordinator core emits, the WAL frames and replay folds.
 //! * [`coordinator`] — the control-plane state machine (overlay
-//!   bookkeeping, splice repair, WAL record emission as pure effects).
+//!   bookkeeping, splice repair, and what each record does to `M`:
+//!   emission as pure effects, checkpoint, replay).
 //! * [`standby`] — the warm-standby follower's decision logic.
 
 pub mod backoff;
 pub mod coordinator;
 pub mod ctrl;
 pub mod peer;
+pub mod record;
 pub mod repair;
 pub mod source;
 pub mod standby;

@@ -55,6 +55,11 @@ pub(crate) const WINDOW_BASE_LEN: usize = 4;
 /// Upper bound on the subscribe line; anything longer is garbage.
 pub(crate) const MAX_SUBSCRIBE_LINE: usize = 512;
 
+/// Upper bound on a control-port request line. The largest request is a
+/// `Resync` naming `d` parents — hundreds of bytes — so anything near
+/// this is a peer streaming bytes without a newline.
+pub(crate) const MAX_REQUEST_LINE: u64 = 64 * 1024;
+
 /// The one-line handshake a subscriber sends after connecting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Subscribe {

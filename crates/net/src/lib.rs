@@ -48,10 +48,9 @@
 //! * **Durability** — a coordinator started with [`WalOptions`] appends
 //!   every matrix mutation to a checksummed write-ahead log ([`wal`]) and
 //!   can be resurrected with [`Coordinator::recover`] after a crash.
-//!   Mutations are *group-committed* by default: they park on a commit
-//!   queue, the committer fsyncs one batch at a time, and responses are
-//!   released only once their batch is durable — same guarantee as
-//!   fsync-per-mutation, a fraction of the fsyncs. A WAL failure enters
+//!   Mutations are *group-committed*: they park on a commit queue, the
+//!   committer fsyncs one batch at a time, and responses are released
+//!   only once their batch is durable. A WAL failure enters
 //!   loud degraded mode (`CoordinatorDegraded`, `"durable": false` in
 //!   `/health`); with [`WalOptions::with_strict`] the coordinator
 //!   refuses further mutations instead of serving them from memory.
@@ -107,4 +106,4 @@ pub use peer::{Peer, PeerConfig};
 pub use core::repair::RepairPolicy;
 pub use source::{PendingSource, Source};
 pub use standby::{Standby, StandbyOptions};
-pub use wal::{Wal, WalOptions, WalRecord, WalSourceInfo, WalStore};
+pub use wal::{Wal, WalOptions, WalRecord, WalStore};

@@ -8,11 +8,18 @@
 //! unchanged) and adds the one-connection-per-request I/O:
 //! [`call`], [`read_request`], [`write_response`].
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::core::ctrl::{CtrlParent, CtrlRequest, CtrlResponse, WireAddr};
+use crate::core::wire::MAX_REQUEST_LINE;
+use crate::wal::MAX_RECORD;
+
+/// Upper bound on a response line. The largest response is a `Snapshot`,
+/// whose one checkpoint record is at most [`MAX_RECORD`] bytes, and JSON
+/// string escaping can double each of them.
+const MAX_RESPONSE_LINE: u64 = 2 * MAX_RECORD as u64 + 1024;
 
 impl WireAddr for SocketAddr {
     fn render(&self) -> String {
@@ -36,6 +43,17 @@ fn invalid(e: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
+/// Reads one line of at most `cap` bytes: a peer that streams bytes
+/// without a newline must not grow this process's heap without bound.
+fn read_line_capped(stream: &TcpStream, cap: u64) -> io::Result<String> {
+    let mut buf = String::new();
+    BufReader::new(stream.take(cap)).read_line(&mut buf)?;
+    if buf.len() as u64 >= cap && !buf.ends_with('\n') {
+        return Err(invalid(format!("control line exceeds {cap} bytes")));
+    }
+    Ok(buf)
+}
+
 /// Sends one request and reads one response over a fresh connection.
 ///
 /// # Errors
@@ -51,9 +69,7 @@ pub fn call(coordinator: SocketAddr, request: &Request, timeout: Duration) -> io
     line.push('\n');
     writer.write_all(line.as_bytes())?;
     writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
-    reader.read_line(&mut buf)?;
+    let buf = read_line_capped(&stream, MAX_RESPONSE_LINE)?;
     if buf.is_empty() {
         return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "empty response"));
     }
@@ -64,11 +80,10 @@ pub fn call(coordinator: SocketAddr, request: &Request, timeout: Duration) -> io
 ///
 /// # Errors
 ///
-/// Propagates socket and parse errors.
+/// Propagates socket and parse errors; a line over the request cap is
+/// `InvalidData`.
 pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut buf = String::new();
-    reader.read_line(&mut buf)?;
+    let buf = read_line_capped(stream, MAX_REQUEST_LINE)?;
     Request::parse_json_line(&buf).map_err(invalid)
 }
 

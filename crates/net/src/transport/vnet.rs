@@ -667,13 +667,10 @@ impl World {
         }
     }
 
-    /// The standby takes over: a successor [`ControlCore`] with the
-    /// durable prefix (source registration) but none of the peer rows —
-    /// the worst-case un-shipped tail. Survivors readmit themselves via
-    /// resync on their next complaint.
-    fn promote_standby(&mut self) {
-        self.follower = None;
-        self.follower_gen += 1;
+    /// Replaces the coordinator with a successor [`ControlCore`] under
+    /// the next seed that knows the source registration and none of the
+    /// peer rows. `who` names the successor in the panic message.
+    fn install_successor_core(&mut self, who: &str) {
         self.control_seed = self.control_seed.wrapping_add(1);
         self.control =
             ControlCore::new(self.cfg.overlay, self.control_seed, SharedRecorder::null())
@@ -687,8 +684,18 @@ impl World {
         });
         assert!(
             matches!(outcome, CoreOutcome::Done { response: CtrlResponse::Ok, .. }),
-            "promoted core refused the source registration"
+            "{who} core refused the source registration"
         );
+    }
+
+    /// The standby takes over with the durable prefix (source
+    /// registration) but none of the peer rows — the worst-case
+    /// un-shipped tail. Survivors readmit themselves via resync on their
+    /// next complaint.
+    fn promote_standby(&mut self) {
+        self.follower = None;
+        self.follower_gen += 1;
+        self.install_successor_core("promoted");
         self.coordinator_up = true;
         self.journal.push(format!("t={} promote", self.clock_us));
     }
@@ -703,21 +710,7 @@ impl World {
     /// Panics if the fresh core refuses the configuration or the
     /// re-registration — a scenario bug.
     pub fn coordinator_amnesia(&mut self) {
-        self.control_seed = self.control_seed.wrapping_add(1);
-        self.control =
-            ControlCore::new(self.cfg.overlay, self.control_seed, SharedRecorder::null())
-                .expect("overlay config");
-        let outcome = self.control.dispatch(CtrlRequest::RegisterSource {
-            data_addr: SOURCE_ADDR,
-            generations: self.cfg.generations,
-            generation_size: self.cfg.generation_size,
-            packet_len: self.cfg.packet_len,
-            content_len: self.content.len(),
-        });
-        assert!(
-            matches!(outcome, CoreOutcome::Done { response: CtrlResponse::Ok, .. }),
-            "source re-registration refused"
-        );
+        self.install_successor_core("amnesiac");
         self.journal.push(format!("t={} amnesia", self.clock_us));
     }
 

@@ -13,19 +13,22 @@
 //! [u32 LE payload length][u64 LE FNV-1a of payload][payload]
 //! ```
 //!
-//! where the payload is one [`WalRecord`] rendered as a single JSON object
-//! via [`curtain_telemetry::json`] — the same dependency-free JSON layer
-//! the wire protocol uses, so the WAL adds no serialization dependency.
+//! where the payload is one [`WalRecord`] as a single JSON object. What a
+//! record means and how it renders is [`crate::core::record`]'s business;
+//! this module is about the file: framing, `open`/`append`/`sync`/
+//! `compact`, and the [`WalStore`] seam tests substitute a fake through.
+//! A payload over [`MAX_RECORD`] bytes is refused on the way in, so the
+//! log never holds a frame its own reader would stop at.
 //!
 //! ## Durability semantics
 //!
 //! [`Wal::append`] buffers in the OS; [`Wal::sync`] fsyncs. The
-//! coordinator group-commits by default: concurrent mutations park on a
-//! commit queue and one fsync covers the whole admitted batch, with each
-//! response withheld until its batch is durable
-//! ([`WalOptions::group_commit`]). A torn tail — a record cut mid-write by a crash — is expected and
-//! tolerated: [`Wal::open`] replays the longest valid prefix, truncates
-//! the garbage, and resumes appending after it.
+//! coordinator group-commits: concurrent mutations park on a commit queue
+//! and one fsync covers the whole admitted batch, with each response
+//! withheld until its batch is durable. A torn tail — a record cut
+//! mid-write by a crash — is expected and tolerated: [`Wal::open`] replays
+//! the longest valid prefix, truncates the garbage, and resumes appending
+//! after it.
 //!
 //! ## Compaction
 //!
@@ -36,16 +39,16 @@
 //! temp file, is fsync'd, and is renamed over the log — a crash at any
 //! point leaves either the old log or the new one, never neither.
 
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
-use curtain_telemetry::json::{self, JsonValue};
+use crate::core::record::Record;
 
-/// Refuse absurd length prefixes (a torn header can claim anything).
-const MAX_RECORD: u32 = 16 * 1024 * 1024;
+/// Largest payload a frame may carry. The reader refuses longer length
+/// prefixes (a torn header can claim anything), so the writer does too.
+pub(crate) const MAX_RECORD: u32 = 16 * 1024 * 1024;
 /// Bytes of framing per record (length prefix + checksum).
 const HEADER_LEN: usize = 4 + 8;
 
@@ -60,316 +63,31 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The source registration carried by [`WalRecord::RegisterSource`] and
-/// inside checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalSourceInfo {
-    /// Source data-plane listener (as advertised to peers).
-    pub addr: SocketAddr,
-    /// Number of generations.
-    pub generations: usize,
-    /// Packets per generation.
-    pub generation_size: usize,
-    /// Bytes per packet.
-    pub packet_len: usize,
-    /// Original (unpadded) object length.
-    pub content_len: usize,
-}
+/// The record the log frames: [`Record`] at the TCP driver's address type.
+/// Its meaning and its JSON form live in [`crate::core::record`]; this
+/// module only knows how to put one on disk and read it back.
+pub type WalRecord = Record<SocketAddr>;
 
-impl WalSourceInfo {
-    fn to_json(self) -> JsonValue {
-        let mut f = BTreeMap::new();
-        f.insert("addr".into(), JsonValue::Str(self.addr.to_string()));
-        f.insert("generations".into(), JsonValue::Int(self.generations as i64));
-        f.insert("generation_size".into(), JsonValue::Int(self.generation_size as i64));
-        f.insert("packet_len".into(), JsonValue::Int(self.packet_len as i64));
-        f.insert("content_len".into(), JsonValue::Int(self.content_len as i64));
-        JsonValue::Object(f)
-    }
-
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        Ok(WalSourceInfo {
-            addr: addr_field(v, "addr")?,
-            generations: usize_field(v, "generations")?,
-            generation_size: usize_field(v, "generation_size")?,
-            packet_len: usize_field(v, "packet_len")?,
-            content_len: usize_field(v, "content_len")?,
-        })
-    }
-}
-
-/// One durable matrix mutation (or a full-state checkpoint).
-///
-/// Hello/Resync records carry the *outcome* of the mutation (the assigned
-/// id, position, and thread set), not the request — replay is pure data
-/// manipulation, independent of the RNG and insert policy that produced
-/// the grant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
-    /// A full-state snapshot; every record before it is superseded.
-    Checkpoint {
-        /// The overlay state (`CurtainServer::to_json` JSON, opaque here).
-        server: String,
-        /// Data-plane address per member node.
-        addrs: Vec<(u64, SocketAddr)>,
-        /// The registered source, if any.
-        source: Option<WalSourceInfo>,
-        /// Nodes that reported full decode.
-        completed: Vec<u64>,
-        /// The id-allocation high-water mark (`next_id`) at checkpoint
-        /// time. Recovery fences fresh grants above this even when the
-        /// wall clock steps backwards. Logs written before this field
-        /// existed parse as `0` (no fence floor).
-        epoch: u64,
-    },
-    /// The source registered (or re-registered at the same address).
-    RegisterSource(WalSourceInfo),
-    /// A hello was granted: the row as inserted.
-    Hello {
-        /// Assigned node id.
-        node: u64,
-        /// Matrix position the row was inserted at.
-        position: u64,
-        /// The row's thread set (sorted).
-        threads: Vec<u16>,
-        /// The peer's data-plane listener.
-        data_addr: SocketAddr,
-    },
-    /// An amnesiac coordinator re-admitted a row from a peer's resync
-    /// report (appended at the bottom of `M`).
-    Resync {
-        /// The reclaimed node id.
-        node: u64,
-        /// The row's thread set (sorted).
-        threads: Vec<u16>,
-        /// The peer's data-plane listener.
-        data_addr: SocketAddr,
-    },
-    /// A graceful leave removed the row.
-    Goodbye {
-        /// The departed node.
-        node: u64,
-    },
-    /// A complaint-driven repair spliced the row out.
-    Splice {
-        /// The failed node.
-        node: u64,
-    },
-    /// A peer reported full decode.
-    Completed {
-        /// The peer.
-        node: u64,
-    },
-}
-
-impl WalRecord {
-    /// The JSON payload (single line, no trailing newline).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut f = BTreeMap::new();
-        let tag = |f: &mut BTreeMap<String, JsonValue>, t: &str| {
-            f.insert("rec".into(), JsonValue::Str(t.into()));
-        };
-        match self {
-            WalRecord::Checkpoint { server, addrs, source, completed, epoch } => {
-                tag(&mut f, "checkpoint");
-                f.insert("epoch".into(), JsonValue::Int(*epoch as i64));
-                f.insert("server".into(), JsonValue::Str(server.clone()));
-                f.insert(
-                    "addrs".into(),
-                    JsonValue::Array(
-                        addrs
-                            .iter()
-                            .map(|(n, a)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::Int(*n as i64),
-                                    JsonValue::Str(a.to_string()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                );
-                f.insert(
-                    "source".into(),
-                    source.map_or(JsonValue::Null, WalSourceInfo::to_json),
-                );
-                f.insert(
-                    "completed".into(),
-                    JsonValue::Array(
-                        completed.iter().map(|n| JsonValue::Int(*n as i64)).collect(),
-                    ),
-                );
-            }
-            WalRecord::RegisterSource(info) => {
-                tag(&mut f, "register_source");
-                f.insert("source".into(), info.to_json());
-            }
-            WalRecord::Hello { node, position, threads, data_addr } => {
-                tag(&mut f, "hello");
-                f.insert("node".into(), JsonValue::Int(*node as i64));
-                f.insert("position".into(), JsonValue::Int(*position as i64));
-                f.insert("threads".into(), threads_json(threads));
-                f.insert("data_addr".into(), JsonValue::Str(data_addr.to_string()));
-            }
-            WalRecord::Resync { node, threads, data_addr } => {
-                tag(&mut f, "resync");
-                f.insert("node".into(), JsonValue::Int(*node as i64));
-                f.insert("threads".into(), threads_json(threads));
-                f.insert("data_addr".into(), JsonValue::Str(data_addr.to_string()));
-            }
-            WalRecord::Goodbye { node } => {
-                tag(&mut f, "goodbye");
-                f.insert("node".into(), JsonValue::Int(*node as i64));
-            }
-            WalRecord::Splice { node } => {
-                tag(&mut f, "splice");
-                f.insert("node".into(), JsonValue::Int(*node as i64));
-            }
-            WalRecord::Completed { node } => {
-                tag(&mut f, "completed");
-                f.insert("node".into(), JsonValue::Int(*node as i64));
-            }
-        }
-        JsonValue::Object(f).render()
-    }
-
-    /// Parses one payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message on malformed payloads.
-    pub fn parse_json(payload: &str) -> Result<Self, String> {
-        let v = json::parse_document(payload.trim())?;
-        let rec = v
-            .get("rec")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing \"rec\" tag")?;
-        match rec {
-            "checkpoint" => {
-                let addrs_json = v
-                    .get("addrs")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("missing addrs array")?;
-                let mut addrs = Vec::with_capacity(addrs_json.len());
-                for pair in addrs_json {
-                    let [n, a] = pair.as_array().ok_or("bad addr pair")? else {
-                        return Err("addr pair is not 2-element".into());
-                    };
-                    addrs.push((
-                        n.as_u64().ok_or("bad addr pair node")?,
-                        a.as_str()
-                            .ok_or("bad addr pair address")?
-                            .parse()
-                            .map_err(|e| format!("bad address: {e}"))?,
-                    ));
-                }
-                let source = match v.get("source") {
-                    Some(JsonValue::Null) | None => None,
-                    Some(s) => Some(WalSourceInfo::from_json(s)?),
-                };
-                let completed = v
-                    .get("completed")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("missing completed array")?
-                    .iter()
-                    .map(|n| n.as_u64().ok_or("bad completed id"))
-                    .collect::<Result<_, _>>()?;
-                Ok(WalRecord::Checkpoint {
-                    server: v
-                        .get("server")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("missing server snapshot")?
-                        .to_string(),
-                    addrs,
-                    source,
-                    completed,
-                    // Absent in pre-epoch logs: replay as "no fence floor".
-                    epoch: v.get("epoch").and_then(JsonValue::as_u64).unwrap_or(0),
-                })
-            }
-            "register_source" => Ok(WalRecord::RegisterSource(WalSourceInfo::from_json(
-                v.get("source").ok_or("missing source")?,
-            )?)),
-            "hello" => Ok(WalRecord::Hello {
-                node: u64_field(&v, "node")?,
-                position: u64_field(&v, "position")?,
-                threads: parse_threads(&v)?,
-                data_addr: addr_field(&v, "data_addr")?,
-            }),
-            "resync" => Ok(WalRecord::Resync {
-                node: u64_field(&v, "node")?,
-                threads: parse_threads(&v)?,
-                data_addr: addr_field(&v, "data_addr")?,
-            }),
-            "goodbye" => Ok(WalRecord::Goodbye { node: u64_field(&v, "node")? }),
-            "splice" => Ok(WalRecord::Splice { node: u64_field(&v, "node")? }),
-            "completed" => Ok(WalRecord::Completed { node: u64_field(&v, "node")? }),
-            other => Err(format!("unknown record {other:?}")),
-        }
-    }
-}
-
-fn threads_json(threads: &[u16]) -> JsonValue {
-    JsonValue::Array(threads.iter().map(|t| JsonValue::Int(i64::from(*t))).collect())
-}
-
-fn parse_threads(v: &JsonValue) -> Result<Vec<u16>, String> {
-    v.get("threads")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing threads array")?
-        .iter()
-        .map(|t| {
-            t.as_u64()
-                .and_then(|x| u16::try_from(x).ok())
-                .ok_or_else(|| "bad thread id".to_string())
-        })
-        .collect()
-}
-
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn usize_field(v: &JsonValue, key: &str) -> Result<usize, String> {
-    usize::try_from(u64_field(v, key)?).map_err(|_| format!("field {key:?} overflows usize"))
-}
-
-fn addr_field(v: &JsonValue, key: &str) -> Result<SocketAddr, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing addr field {key:?}"))?
-        .parse()
-        .map_err(|e| format!("bad socket address in {key:?}: {e}"))
-}
-
-/// Where a coordinator's WAL lives, when it compacts, and how mutations
-/// commit.
+/// Where a coordinator's WAL lives, when it compacts, and what a failed
+/// log does to mutating requests.
 #[derive(Debug, Clone)]
 pub struct WalOptions {
     /// Log file path (created if absent).
     pub path: PathBuf,
     /// Compaction trigger in bytes (see [`Wal::compact`]).
     pub compact_threshold: u64,
-    /// One fsync per admitted *batch* of mutations (the default) instead
-    /// of one per mutation. Responses are still withheld until the batch
-    /// holding the mutation is durable, so the guarantee is unchanged —
-    /// only the fsync count drops.
-    pub group_commit: bool,
     /// Refuse mutating requests (with `Response::Unavailable`) once the
     /// WAL has failed, instead of serving from memory in degraded mode.
     pub strict: bool,
 }
 
 impl WalOptions {
-    /// Options for `path` with the default compaction threshold,
-    /// group commit on, strict mode off.
+    /// Options for `path` with the default compaction threshold and
+    /// strict mode off.
     pub fn new(path: impl Into<PathBuf>) -> Self {
         WalOptions {
             path: path.into(),
             compact_threshold: Wal::DEFAULT_COMPACT_THRESHOLD,
-            group_commit: true,
             strict: false,
         }
     }
@@ -379,13 +97,6 @@ impl WalOptions {
     #[must_use]
     pub fn with_compact_threshold(mut self, bytes: u64) -> Self {
         self.compact_threshold = bytes;
-        self
-    }
-
-    /// Selects group commit (one fsync per batch) or per-mutation fsync.
-    #[must_use]
-    pub fn with_group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
         self
     }
 
@@ -528,10 +239,10 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Propagates write errors.
+    /// `InvalidInput` for a payload over [`MAX_RECORD`] (nothing is
+    /// written); otherwise propagates write errors.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let payload = record.to_json();
-        let frame = encode(payload.as_bytes());
+        let frame = frame_of(record)?;
         self.file.write_all(&frame)?;
         self.bytes += frame.len() as u64;
         self.records += 1;
@@ -577,8 +288,10 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Propagates file-system errors; on error the old log is untouched.
+    /// `InvalidInput` for a payload over [`MAX_RECORD`]; otherwise
+    /// propagates file-system errors. On error the old log is untouched.
     pub fn compact(&mut self, checkpoint: &WalRecord) -> io::Result<()> {
+        let frame = frame_of(checkpoint)?;
         let tmp_path = self.path.with_extension("wal.tmp");
         let mut tmp = OpenOptions::new()
             .read(true)
@@ -586,7 +299,6 @@ impl Wal {
             .create(true)
             .truncate(true)
             .open(&tmp_path)?;
-        let frame = encode(checkpoint.to_json().as_bytes());
         tmp.write_all(&frame)?;
         tmp.sync_all()?;
         std::fs::rename(&tmp_path, &self.path)?;
@@ -604,6 +316,17 @@ impl std::fmt::Debug for Wal {
             .field("bytes", &self.bytes)
             .finish()
     }
+}
+
+/// The frame for `record`, refusing a payload [`decode_all`] would stop
+/// at — before the caller has touched the file.
+fn frame_of(record: &WalRecord) -> io::Result<Vec<u8>> {
+    let payload = record.to_json();
+    if payload.len() > MAX_RECORD as usize {
+        let msg = format!("wal record of {} bytes exceeds {MAX_RECORD}", payload.len());
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
+    Ok(encode(payload.as_bytes()))
 }
 
 fn encode(payload: &[u8]) -> Vec<u8> {
@@ -648,6 +371,7 @@ fn decode_all(raw: &[u8]) -> (Vec<WalRecord>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::record::SourceInfo;
 
     fn addr(port: u16) -> SocketAddr {
         format!("127.0.0.1:{port}").parse().unwrap()
@@ -655,7 +379,7 @@ mod tests {
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
-            WalRecord::RegisterSource(WalSourceInfo {
+            WalRecord::RegisterSource(SourceInfo {
                 addr: addr(9000),
                 generations: 4,
                 generation_size: 32,
@@ -681,7 +405,7 @@ mod tests {
             WalRecord::Checkpoint {
                 server: r#"{"k":4}"#.into(),
                 addrs: vec![(7, addr(9007))],
-                source: Some(WalSourceInfo {
+                source: Some(SourceInfo {
                     addr: addr(9000),
                     generations: 4,
                     generation_size: 32,
@@ -810,6 +534,38 @@ mod tests {
         drop(wal);
         let (replayed, _) = Wal::open(&path, 64).unwrap();
         assert_eq!(replayed, vec![checkpoint, WalRecord::Goodbye { node: 99 }]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn over_limit_records_are_refused_before_the_file_is_touched() {
+        let dir = std::env::temp_dir().join(format!("curtain-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("overlimit.wal");
+        let kept: Vec<WalRecord> = (0..3).map(|node| WalRecord::Goodbye { node }).collect();
+        let mut wal = Wal::create(&path, 1 << 20).unwrap();
+        for r in &kept {
+            wal.append(r).unwrap();
+        }
+        wal.sync().unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        // One byte more than the reader accepts: acknowledged as durable,
+        // this checkpoint would reopen as an empty log.
+        let huge = WalRecord::Checkpoint {
+            server: "x".repeat(MAX_RECORD as usize + 1),
+            addrs: vec![],
+            source: None,
+            completed: vec![],
+            epoch: 0,
+        };
+        for refused in [wal.append(&huge), wal.compact(&huge)] {
+            assert_eq!(refused.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(wal.bytes(), len);
+        drop(wal);
+        let (replayed, _) = Wal::open(&path, 1 << 20).unwrap();
+        assert_eq!(replayed, kept);
         std::fs::remove_file(&path).unwrap();
     }
 
