@@ -208,18 +208,26 @@ mod tests {
         }
     }
 
+    /// Whether a kill lands on the parent of a peer still in transfer
+    /// depends on the scenario and coefficient streams, so "churn leaves a
+    /// defect trace" is stated over a seed range: every world must heal
+    /// and lose frames, and over the range some defect time must show.
     #[test]
     fn churn_produces_defects_that_heal_without_give_ups() {
-        let out = churn_soak(&small(2), 7);
-        assert!(out.all_complete, "{out:?}");
-        assert_eq!(out.gave_up, 0, "{out:?}");
-        assert!(out.defect_p > 0.0, "churn left no defect trace: {out:?}");
-        assert!(out.defect_p < 1.0, "{out:?}");
-        assert!(out.frames_lost > 0, "1% loss dropped nothing: {out:?}");
-        assert!(
-            out.completed as usize >= 24,
-            "initial wave never completed: {out:?}"
-        );
+        let mut defect_p = 0.0;
+        for seed in 0..8 {
+            let out = churn_soak(&small(2), seed);
+            assert!(out.all_complete, "seed {seed}: {out:?}");
+            assert_eq!(out.gave_up, 0, "seed {seed}: {out:?}");
+            assert!(out.defect_p < 1.0, "seed {seed}: {out:?}");
+            assert!(out.frames_lost > 0, "seed {seed}: 1% loss dropped nothing: {out:?}");
+            assert!(
+                out.completed as usize >= 24,
+                "seed {seed}: initial wave never completed: {out:?}"
+            );
+            defect_p += out.defect_p;
+        }
+        assert!(defect_p > 0.0, "churn left no defect trace in any world");
     }
 
     #[test]

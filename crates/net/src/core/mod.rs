@@ -21,8 +21,10 @@
 //! * [`backoff`] — the one exponential-backoff-with-jitter schedule.
 //! * [`repair`] — repair policy, budget, and the episode state machine
 //!   both drivers feed, on an explicit microsecond clock.
-//! * [`peer`] — per-object decoding state and upstream-thread logic.
-//! * [`source`] — emission scheduling (round-robin and windowed).
+//! * [`peer`] — per-object decoding state, the per-link send ledger
+//!   (what a child link is still owed), and upstream-thread liveness.
+//! * [`source`] — emission scheduling (the same ledger at full rank, and
+//!   windowed).
 //! * [`record`] — the one record of a change to `M` and its JSON form:
 //!   what the coordinator core emits, the WAL frames and replay folds.
 //! * [`coordinator`] — the control-plane state machine (overlay

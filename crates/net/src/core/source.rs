@@ -1,10 +1,27 @@
-//! The source's sans-io core: the sliding-window emission schedule.
+//! The source's sans-io core: which generation a subscriber stream mixes
+//! next.
 //!
 //! A source stream is an unbounded sequence of coded packets; the only
 //! protocol decision per emission is *which generation to mix next* and
-//! *what window base to stamp on the frame*. [`Window`] answers both as
-//! a pure function of the emission counter, so the TCP subscriber
-//! threads and the vnet's simulated source emit identical schedules.
+//! *what window base to stamp on the frame*.
+//!
+//! * A plain (non-windowed) stream runs the peer's [`SendLedger`] with
+//!   `rank ≡ generation_size` ([`pick`]): the source holds every
+//!   generation whole, so each stream is owed `generation_size` frames of
+//!   each generation — the plain round-robin for its first
+//!   `generation_size × generations` emissions — and after that only the
+//!   un-booked trickle frame per idle interval. One rule for the source's
+//!   threads and a peer's, on TCP and on the vnet.
+//! * A windowed stream is [`Window`]: base and pick are a pure function
+//!   of the emission counter.
+
+use crate::core::peer::{Pick, SendLedger};
+
+/// The next generation for a plain subscriber stream: [`SendLedger::pick`]
+/// with every generation at full rank and no window.
+pub fn pick(link: &mut SendLedger, generation_size: usize, idled: bool) -> Option<Pick> {
+    link.pick(0, |_| generation_size, idled)
+}
 
 /// Sliding-window serving parameters (copied into each subscriber
 /// stream).
@@ -50,7 +67,33 @@ impl Window {
 
 #[cfg(test)]
 mod tests {
-    use super::Window;
+    use super::*;
+
+    /// A constant-rank ledger is the plain round-robin until every
+    /// generation has been sent whole, then owes nothing and trickles.
+    #[test]
+    fn a_plain_stream_is_round_robin_for_its_first_g_times_generations_picks() {
+        let (generations, generation_size) = (5, 3);
+        let mut link = SendLedger::new(generations);
+        for emitted in 0..generations * generation_size {
+            // Whether or not the driver idled, an owed frame is an owed frame.
+            let idled = emitted % 2 == 1;
+            assert_eq!(
+                pick(&mut link, generation_size, idled),
+                Some(Pick::Owed(emitted % generations)),
+                "emission {emitted}"
+            );
+        }
+        assert_eq!(pick(&mut link, generation_size, false), None, "every generation sent whole");
+        for emitted in 0..2 * generations {
+            assert_eq!(
+                pick(&mut link, generation_size, true),
+                Some(Pick::Trickle(emitted % generations)),
+                "the trickle keeps rotating"
+            );
+            assert_eq!(pick(&mut link, generation_size, false), None);
+        }
+    }
 
     /// Every generation must be served at least a full quota of frames
     /// before the window slides past it, the base must never regress,

@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::core::ctrl::Reply;
-use crate::core::peer::{LinkLiveness, ObjectState};
+use crate::core::peer::{LinkLiveness, ObjectState, SendLedger};
 use crate::core::repair::{Episode, RepairBudget, RepairPolicy, Step};
 use crate::transport::tcp;
 use crate::framing::{self, Subscribe};
@@ -101,10 +101,10 @@ impl Shared {
         self.trace && self.recorder.is_enabled()
     }
 
-    fn note_progress(&self) {
-        if !self.state.lock().is_complete() {
-            return;
-        }
+    /// Reports completion to the coordinator. Called by the upstream
+    /// thread whose push completed the object (it saw the flip under the
+    /// push's own lock).
+    fn report_complete(&self) {
         // Exactly one thread reports, and `complete` only becomes
         // observable after the report attempt has concluded — otherwise
         // `wait_complete` can return while the Completed call is still in
@@ -300,7 +300,8 @@ impl Peer {
     }
 
     /// One-line JSON health document for the `/health` endpoint: decode
-    /// rank per generation, buffer-pool occupancy, child/repair activity.
+    /// rank per generation, innovative/redundant frame counts and their
+    /// ratio, buffer-pool occupancy, child/repair activity.
     #[must_use]
     pub fn health_json(&self) -> String {
         health_json_of(&self.shared)
@@ -400,11 +401,11 @@ impl std::fmt::Debug for Peer {
 fn health_json_of(shared: &Shared) -> String {
     use curtain_telemetry::json::JsonValue;
     use std::collections::BTreeMap;
-    let (ranks, total_rank, complete_generations) = {
+    let (ranks, total_rank, complete_generations, frames) = {
         let st = shared.state.lock();
         let ranks: Vec<JsonValue> =
             st.recoders.iter().map(|r| JsonValue::Int(r.rank() as i64)).collect();
-        (ranks, st.rank(), st.complete_count)
+        (ranks, st.rank(), st.complete_count, st.coding_stats())
     };
     let active_children =
         shared.children.lock().iter().filter(|h| !h.is_finished()).count();
@@ -423,6 +424,13 @@ fn health_json_of(shared: &Shared) -> String {
         "complete_generations".to_string(),
         JsonValue::Int(complete_generations as i64),
     );
+    // What the send ledgers upstream are steering: the share of received
+    // frames that grew a rank (1 − `CodingStats::overhead`).
+    doc.insert("frames_innovative".to_string(), JsonValue::Int(frames.innovative() as i64));
+    doc.insert("frames_redundant".to_string(), JsonValue::Int(frames.redundant() as i64));
+    let innovative_ratio =
+        if frames.total() == 0 { 0.0 } else { frames.innovative() as f64 / frames.total() as f64 };
+    doc.insert("innovative_ratio".to_string(), JsonValue::Float(innovative_ratio));
     doc.insert("active_children".to_string(), JsonValue::Int(active_children as i64));
     doc.insert(
         "active_repair_episodes".to_string(),
@@ -438,7 +446,13 @@ fn health_json_of(shared: &Shared) -> String {
     JsonValue::Object(doc).render()
 }
 
-/// Serves one child subscription: recoded packets at the configured pace.
+/// Serves one child subscription — one thread of the curtain. The thread
+/// relays what this peer has *received*: the link's own [`SendLedger`]
+/// (fresh per subscription) says which generation is still owed, one owed
+/// frame per `pace`. When nothing is owed the loop sleeps
+/// [`tcp::SERVE_IDLE`] and the ledger then allows one un-booked trickle
+/// frame, so a child that needs one more combination is never starved.
+///
 /// A coordinator's resync nudge on the same port instead triggers a
 /// re-announce via the `Resync` control verb (the proactive sweep after
 /// an amnesiac recovery or failover) and closes the connection.
@@ -457,56 +471,62 @@ fn serve_child(stream: &TcpStream, shared: &Shared, pace: Duration, seed: u64) -
     let traced = shared.recorder.is_enabled();
     let tracing = shared.tracing();
     let mut scratch = Vec::new();
+    let mut link = SendLedger::new(shared.state.lock().recoders.len());
+    let mut idled = false;
     while !shared.stop.load(Ordering::SeqCst) {
-        // Lock held only for an O(1) Arc clone of the generation's basis
-        // snapshot; the GF recode below runs against the shared immutable
-        // rows, so concurrent children and the upstream push path never
-        // wait on each other's math (and nothing is copied under the lock).
-        let (snapshot, recv_ctx, base) = {
+        // Lock held only for the ledger's pick and an O(1) Arc clone of the
+        // generation's basis snapshot; the GF recode below runs against the
+        // shared immutable rows, so concurrent children and the upstream
+        // push path never wait on each other's math (and nothing is copied
+        // under the lock).
+        let picked = {
             let mut st = shared.state.lock();
-            let base = st.window_base;
-            match st.snapshot_next_ctx() {
-                Some((s, c)) => (Some(s), c, base),
-                None => (None, None, base),
-            }
+            st.pick(&mut link, idled).map(|pick| {
+                let (snapshot, recv_ctx) = st.snapshot_of(pick.generation());
+                (pick, snapshot, recv_ctx, st.window_base)
+            })
         };
+        let Some((pick, snapshot, recv_ctx, base)) = picked else {
+            shared.recorder.counter("serve_idle_ticks", 1);
+            std::thread::sleep(tcp::SERVE_IDLE);
+            idled = true;
+            continue;
+        };
+        idled = false;
         let timer = if traced { Some(Instant::now()) } else { None };
-        match snapshot.and_then(|s| s.recode(&mut rng)) {
-            Some(p) => {
-                if let Some(t) = timer {
-                    shared.recorder.histogram("recode_ns", t.elapsed().as_nanos() as f64);
-                }
-                // Forward causality: the outgoing recoded packet gets a
-                // child span of the context under which this generation
-                // last advanced; the HopSend records the parent link.
-                let out_ctx = match recv_ctx {
-                    Some(ctx) if tracing => {
-                        let child = ctx.child();
-                        shared.recorder.record(&Event::HopSend {
-                            trace: child.trace,
-                            span: child.span,
-                            parent: ctx.span,
-                            node: shared.node.0,
-                            generation: p.generation(),
-                            t_us: wall_micros(),
-                        });
-                        Some(child)
-                    }
-                    _ => None,
-                };
-                // Re-stamp the upstream window base so children retire
-                // the same generations (unwindowed overlays stay on the
-                // extension-free wire format).
-                let out_base = (base > 0).then_some(base as u32);
-                if framing::write_frame_tagged_into(&mut out, &p, out_ctx, out_base, &mut scratch)
-                    .is_err()
-                {
-                    break; // child went away
-                }
-                std::thread::sleep(pace);
-            }
-            None => std::thread::sleep(Duration::from_millis(2)), // rank 0 yet
+        let Some(p) = snapshot.recode(&mut rng) else { continue };
+        drop(snapshot);
+        if let Some(t) = timer {
+            shared.recorder.histogram("recode_ns", t.elapsed().as_nanos() as f64);
         }
+        // Forward causality: the outgoing recoded packet gets a child span
+        // of the context under which this generation last advanced; the
+        // HopSend records the parent link.
+        let out_ctx = match recv_ctx {
+            Some(ctx) if tracing => {
+                let child = ctx.child();
+                shared.recorder.record(&Event::HopSend {
+                    trace: child.trace,
+                    span: child.span,
+                    parent: ctx.span,
+                    node: shared.node.0,
+                    generation: p.generation(),
+                    t_us: wall_micros(),
+                });
+                Some(child)
+            }
+            _ => None,
+        };
+        // Re-stamp the upstream window base so children retire the same
+        // generations (unwindowed overlays stay on the extension-free wire
+        // format).
+        let out_base = (base > 0).then_some(base as u32);
+        if framing::write_frame_tagged_into(&mut out, &p, out_ctx, out_base, &mut scratch).is_err()
+        {
+            break; // child went away
+        }
+        shared.recorder.counter(pick.counter(), 1);
+        std::thread::sleep(pace);
     }
     Ok(())
 }
@@ -555,15 +575,17 @@ fn read_until_defect(shared: &Shared, thread: u16, parent: ParentAddr, now_us: &
                         t_us: wall_micros(),
                     });
                 }
-                let innovative = {
+                // One lock per frame: the push and, if it was innovative,
+                // whether it was the one that completed the object.
+                let completed = {
                     let mut st = shared.state.lock();
                     if let Some(base) = base {
                         st.advance_window(base as usize);
                     }
-                    st.push_ctx(packet, ctx)
+                    st.push_ctx(packet, ctx) && st.is_complete()
                 };
-                if innovative {
-                    shared.note_progress();
+                if completed {
+                    shared.report_complete();
                 }
             }
             // Idle link: [`LinkLiveness`] decides whether the silence is

@@ -10,14 +10,15 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use curtain_rlnc::pipeline::{ObjectEncoder, Schedule};
+use curtain_rlnc::pipeline::ObjectEncoder;
 use curtain_rlnc::Content;
 use curtain_telemetry::trace::{wall_micros, NO_PARENT, SOURCE_NODE};
 use curtain_telemetry::{Event, SharedRecorder, TraceContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::core::source::Window;
+use crate::core::peer::{Pick, SendLedger};
+use crate::core::source::{self, Window};
 use crate::transport::tcp;
 use crate::framing;
 use crate::proto::{self, Request, Response};
@@ -83,7 +84,7 @@ impl PendingSource {
         let split = Content::split(content, generation_size, packet_len);
         let generations = split.generations().len();
         let content_len = content.len();
-        let encoder = Arc::new(ObjectEncoder::new(split).with_schedule(Schedule::RoundRobin));
+        let encoder = Arc::new(ObjectEncoder::new(split));
         let (listener, data_addr) = tcp::bind_data_listener()?;
         Ok(PendingSource {
             listener,
@@ -184,7 +185,8 @@ impl PendingSource {
             let seed = Arc::new(AtomicU64::new(0x50u64));
             let recorder = self.recorder.clone();
             let trace = self.trace;
-            let window = self.window.map(|w| Window { span: w, generation_size: self.generation_size });
+            let generation_size = self.generation_size;
+            let window = self.window.map(|w| Window { span: w, generation_size });
             std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     match tcp::poll_accept(&listener) {
@@ -197,6 +199,7 @@ impl PendingSource {
                                 let _ = serve_subscriber(
                                     &stream,
                                     &encoder,
+                                    generation_size,
                                     &worker_stop,
                                     pace,
                                     s,
@@ -245,7 +248,8 @@ impl std::fmt::Debug for PendingSource {
 /// fresh random combinations to every child that subscribes — the server
 /// side of the curtain's `k` threads. Content is split into generations
 /// ([CWJ03]) so decoding cost stays bounded for arbitrarily large objects;
-/// each subscriber receives round-robin coded packets across generations.
+/// each subscriber is sent every generation whole, round-robin, and then a
+/// slow trickle (see [`crate::core::source`]).
 pub struct Source {
     coordinator: SocketAddr,
     advertised: SocketAddr,
@@ -393,10 +397,20 @@ impl std::fmt::Debug for Source {
     }
 }
 
+/// Serves one subscriber stream — one of the server's `k` unit threads.
+///
+/// A plain stream is the same send ledger a peer's child link runs, with
+/// `rank ≡ generation_size` ([`source::pick`]): every generation is sent
+/// whole once (the plain round-robin, one frame per `pace`), after which
+/// nothing is owed and the stream drops to one un-booked trickle frame per
+/// [`tcp::SERVE_IDLE`]. A windowed stream follows [`Window`] instead.
+/// Every stream mixes from the one shared encoder; only the ledger (or the
+/// emission counter) is per subscriber.
 #[allow(clippy::too_many_arguments)]
 fn serve_subscriber(
     stream: &TcpStream,
     encoder: &ObjectEncoder,
+    generation_size: usize,
     stop: &AtomicBool,
     pace: Duration,
     seed: u64,
@@ -406,8 +420,9 @@ fn serve_subscriber(
 ) -> io::Result<()> {
     let _sub = framing::read_subscribe_deadline(stream, stop, Duration::from_secs(5))?;
     let mut rng = StdRng::seed_from_u64(seed);
-    // Each subscriber cycles the generations independently.
-    let mut encoder = encoder.clone();
+    let generations = encoder.generation_count();
+    let mut link = SendLedger::new(generations);
+    let mut idled = false;
     let mut out = stream.try_clone()?;
     out.set_write_timeout(Some(Duration::from_secs(2)))?;
     let tracing = trace && recorder.is_enabled();
@@ -416,15 +431,32 @@ fn serve_subscriber(
     while !stop.load(Ordering::SeqCst) {
         // A windowed stream cuts generations in order and mixes only the
         // active window, stamping each frame with the base; the plain
-        // path round-robins the whole object unstamped.
-        let (packet, base) = match window {
+        // path asks its ledger and goes out unstamped.
+        let (pick, base) = match window {
             Some(w) => {
-                let generations = encoder.generation_count();
-                let packet = encoder.packet_for(w.pick(emitted, generations) as u32, &mut rng);
-                (packet, Some(w.base(emitted, generations) as u32))
+                let base = w.base(emitted, generations) as u32;
+                // Scheduled by the window, not a ledger; counted with the
+                // owed frames because it is not a trickle.
+                (Pick::Owed(w.pick(emitted, generations)), Some(base))
             }
-            None => (encoder.next_packet(&mut rng), None),
+            None => match source::pick(&mut link, generation_size, idled) {
+                Some(pick) => (pick, None),
+                None => {
+                    recorder.counter("serve_idle_ticks", 1);
+                    // A trickling stream no longer pushes its own events
+                    // out of the trace writer's buffer; without this the
+                    // `HopSend` of a frame a peer has long received sits
+                    // there until the process is killed, and that peer's
+                    // chain never stitches back to the source.
+                    let _ = recorder.flush();
+                    std::thread::sleep(tcp::SERVE_IDLE);
+                    idled = true;
+                    continue;
+                }
+            },
         };
+        idled = false;
+        let packet = encoder.packet_for(pick.generation() as u32, &mut rng);
         emitted += 1;
         // Packet birth: mint the root of a fresh causal chain. Stitching
         // later declares a delivery chain complete exactly when its parent
@@ -446,6 +478,7 @@ fn serve_subscriber(
         if framing::write_frame_tagged_into(&mut out, &packet, ctx, base, &mut scratch).is_err() {
             break; // subscriber went away
         }
+        recorder.counter(pick.counter(), 1);
         std::thread::sleep(pace);
     }
     Ok(())

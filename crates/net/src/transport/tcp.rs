@@ -23,6 +23,12 @@ use std::time::Duration;
 /// How long the accept poll sleeps when no connection is pending.
 pub const ACCEPT_IDLE: Duration = Duration::from_millis(2);
 
+/// How long a serve loop sleeps when its link is owed nothing (or its
+/// holder has rank 0 yet) before asking the link's
+/// [`SendLedger`](crate::core::peer::SendLedger) again — the idle
+/// interval after which the ledger hands out one un-booked trickle frame.
+pub const SERVE_IDLE: Duration = Duration::from_millis(2);
+
 /// Binds a fresh loopback data-plane listener and switches it to
 /// non-blocking accepts.
 ///

@@ -144,6 +144,51 @@ fn multi_generation_file_transfer() {
     }
 }
 
+/// Frames a peer has received so far, off its `/health` document.
+fn frames_received(peer: &Peer) -> u64 {
+    let health = curtain_telemetry::json::parse_document(&peer.health_json()).unwrap();
+    let count = |key: &str| health.get(key).and_then(|v| v.as_u64()).unwrap();
+    count("frames_innovative") + count("frames_redundant")
+}
+
+/// A thread carries no more of a generation than its sender holds, so a
+/// swarm in which everyone is complete goes quiet even at `pace = 0`:
+/// every link has been sent each generation whole and is owed nothing,
+/// and all that still flows is the one un-booked trickle frame per 2 ms
+/// idle interval per link. (A serve loop that mixes a fresh combination
+/// every turn delivers tens of thousands of frames in the same window.)
+#[test]
+fn a_complete_swarm_goes_quiet_at_pace_zero() {
+    const D: u64 = 2;
+    let coordinator = Coordinator::start(OverlayConfig::new(4, D as usize)).unwrap();
+    let data = content(64 * 1024);
+    let _source =
+        Source::start_with_shape(coordinator.addr(), &data, 16, 256, Duration::ZERO).unwrap();
+    let config = PeerConfig { pace: Duration::ZERO, ..PeerConfig::default() };
+    let peers: Vec<Peer> =
+        (0..4).map(|_| Peer::join_with(coordinator.addr(), config.clone()).unwrap()).collect();
+    for (i, peer) in peers.iter().enumerate() {
+        assert!(peer.wait_complete(DECODE_TIMEOUT), "peer {i} stuck at rank {}", peer.rank());
+        assert_eq!(peer.decoded_content().unwrap(), data, "peer {i} decoded garbage");
+    }
+    // Let frames already sitting in socket buffers drain, then watch.
+    std::thread::sleep(Duration::from_millis(200));
+    let window = Duration::from_millis(300);
+    let before: Vec<u64> = peers.iter().map(frames_received).collect();
+    std::thread::sleep(window);
+    // One trickle frame per link per 2 ms, and as much again for slack
+    // (the window is a sleep, not a stopwatch).
+    let bound = 2 * D * (window.as_millis() as u64 / 2);
+    for (i, (peer, before)) in peers.iter().zip(before).enumerate() {
+        let received = frames_received(peer) - before;
+        assert!(
+            received <= bound,
+            "complete peer {i} was still sent {received} frames in {window:?} (bound {bound})"
+        );
+        assert!(received > 0, "peer {i}'s links went silent: the trickle is the liveness rule");
+    }
+}
+
 #[test]
 fn rolling_churn_swarm_still_decodes() {
     // Continuous churn while the transfer runs: peers join, some crash,

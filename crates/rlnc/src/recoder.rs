@@ -134,15 +134,24 @@ impl Recoder {
             });
         }
         // Zero-copy ingest: take the packet's buffers; a uniquely-owned
-        // packet (the wire path) is eliminated in place.
+        // packet (the wire path) is eliminated in place. Coefficients
+        // first — a dependent packet is dropped without reading its payload.
         let timer = self.telemetry.as_ref().map(|_| std::time::Instant::now());
         let (_, coeffs, payload) = packet.into_parts();
-        let innovative = self.space.insert(coeffs, payload);
+        let innovative = match self.space.reduce(coeffs) {
+            Some(reduced) => {
+                // The basis is about to change, so the cached snapshot is
+                // stale either way. Releasing it *before* any row is
+                // written means rows nobody is mixing from right now are
+                // eliminated in place; only a snapshot a serving thread
+                // still holds gets its copy-on-write.
+                self.snapshot_cache = None;
+                self.space.admit(reduced, payload);
+                true
+            }
+            None => false,
+        };
         self.stats.record(innovative);
-        if innovative {
-            // The basis changed: outstanding snapshots are stale.
-            self.snapshot_cache = None;
-        }
         if let Some((recorder, node)) = &self.telemetry {
             if let Some(t) = timer {
                 recorder.histogram("decode_ns", t.elapsed().as_nanos() as f64);
@@ -395,6 +404,65 @@ mod tests {
         // The old snapshot still works and still mixes only its own rows.
         let old = s1.recode(&mut rng).unwrap();
         assert_eq!(old.coefficients().len(), 3);
+    }
+
+    /// A dependent packet is rejected on its coefficient vector alone. The
+    /// payload here is *shared*, so reading it into a private buffer would
+    /// have to copy it through the pool — and the pool saw nothing.
+    #[test]
+    fn dependent_packet_is_rejected_without_touching_its_payload() {
+        let pool = BufPool::default();
+        let enc = Encoder::new(0, data(4, 32)).unwrap();
+        let mut rec = Recoder::with_pool(0, 4, 32, pool.clone());
+        let mut rng = StdRng::seed_from_u64(31);
+        while !rec.is_complete() {
+            rec.push(enc.encode(&mut rng)).unwrap();
+        }
+        let payload = pool.alloc_copy(&[0xA5; 32]).freeze();
+        let packet = CodedPacket::new(0, vec![9u8, 8, 7, 6], payload.clone());
+        assert_eq!(payload.ref_count(), 2);
+        let before = pool.stats();
+        assert!(!rec.push(packet).unwrap(), "a full-rank recoder accepts nothing");
+        assert_eq!(pool.stats(), before, "the payload was copied or recycled");
+        assert_eq!(payload.ref_count(), 1, "the packet's reference was simply dropped");
+    }
+
+    /// The recoder's own cached snapshot must not force copy-on-write: with
+    /// the caller's `Arc` dropped, an innovative push eliminates the
+    /// existing rows in place; with the `Arc` held, the rows are copied out
+    /// and the held snapshot keeps its bytes.
+    #[test]
+    fn innovative_push_is_in_place_unless_a_snapshot_is_held() {
+        let (g, s) = (6, 48);
+        let enc = Encoder::new(0, data(g, s)).unwrap();
+        let mut rng = StdRng::seed_from_u64(41);
+        let allocations = |pool: &BufPool| pool.stats().hits + pool.stats().misses;
+        for hold in [false, true] {
+            let pool = BufPool::default();
+            let mut rec = Recoder::with_pool(0, g, s, pool.clone());
+            while rec.rank() < 4 {
+                rec.push(enc.encode(&mut rng)).unwrap();
+            }
+            let snap = rec.snapshot();
+            let frozen: Vec<(Vec<u8>, Vec<u8>)> =
+                snap.rows().map(|(c, p)| (c.to_vec(), p.to_vec())).collect();
+            let held = hold.then_some(snap);
+            let before = allocations(&pool);
+            // Dense random coefficients: the new pivot column is non-zero
+            // in (almost surely) every existing row, so all of them are
+            // written by the back-elimination.
+            while !rec.push(enc.encode(&mut rng)).unwrap() {}
+            let grew = allocations(&pool) - before;
+            match held {
+                None => assert!(grew <= 2, "in-place elimination allocated {grew} buffers"),
+                Some(snap) => {
+                    assert!(grew > 2, "a held snapshot must be copied around, saw {grew}");
+                    for ((c, p), (fc, fp)) in snap.rows().zip(&frozen) {
+                        assert_eq!((c, p), (&fc[..], &fp[..]), "held snapshot changed");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
