@@ -1,8 +1,7 @@
 //! The per-host actor: server and client behaviour for every strategy.
 
-use bytes::Bytes;
 use curtain_codec::BroadcastCodec;
-use curtain_rlnc::{CodedPacket, Encoder, Recoder};
+use curtain_rlnc::{CodedPacket, Encoder, PacketBuf, Recoder};
 use curtain_simnet::{Actor, Context, HostId, LinkId};
 use rand::RngExt as _;
 
@@ -25,13 +24,13 @@ pub(crate) enum Msg {
     /// An uncoded content chunk (routing strategy).
     Chunk {
         index: u32,
-        data: Bytes,
+        data: PacketBuf,
     },
     /// One Reed–Solomon share of one stripe (source-erasure strategy).
     Share {
         stripe: u32,
         column: u16,
-        data: Bytes,
+        data: PacketBuf,
     },
 }
 
@@ -68,11 +67,11 @@ pub(crate) enum ServerRole {
         codec: CodecBox,
     },
     Routing {
-        chunks: Vec<Bytes>,
+        chunks: Vec<PacketBuf>,
     },
     Erasure {
         /// `shares[stripe][column]`.
-        shares: Vec<Vec<Bytes>>,
+        shares: Vec<Vec<PacketBuf>>,
     },
 }
 
@@ -89,12 +88,12 @@ pub(crate) enum ClientRole {
         codec: CodecBox,
     },
     Routing {
-        chunks: Vec<Option<Bytes>>,
+        chunks: Vec<Option<PacketBuf>>,
         have: usize,
     },
     Erasure {
         /// `shares[stripe][column]` for columns this node subscribes to.
-        shares: Vec<Vec<Option<Bytes>>>,
+        shares: Vec<Vec<Option<PacketBuf>>>,
         /// Shares needed per stripe (the RS data-share count).
         needed: usize,
         /// Completed stripes so far.
@@ -224,7 +223,7 @@ impl Peer {
                     let coeffs: Vec<u8> = (0..self.gen_size).map(|_| ctx.rng().random()).collect();
                     let mut payload = vec![0u8; self.packet_len];
                     ctx.rng().fill(&mut payload[..]);
-                    let p = CodedPacket::new(0, coeffs, Bytes::from(payload));
+                    let p = CodedPacket::new(0, coeffs, payload);
                     ctx.send(self.outs[i].link, Msg::Coded(p));
                 }
                 return;

@@ -1,9 +1,8 @@
 //! Session driver: topology × strategy × simulated network → report.
 
-use bytes::Bytes;
 use curtain_codec::{CodecConfig, CodecKind};
 use curtain_gf::ReedSolomon;
-use curtain_rlnc::{BufPool, Encoder, Recoder};
+use curtain_rlnc::{BufPool, Encoder, PacketBuf, Recoder};
 use curtain_simnet::{HostId, LinkConfig, World};
 use curtain_telemetry::SharedRecorder;
 use rand::rngs::StdRng;
@@ -233,11 +232,11 @@ impl Session {
             );
             let rs = ReedSolomon::new(stripe, topo.k);
             let n_stripes = cfg.total_chunks / stripe;
-            let shares: Vec<Vec<Bytes>> = (0..n_stripes)
+            let shares: Vec<Vec<PacketBuf>> = (0..n_stripes)
                 .map(|m| {
                     rs.encode(&content[m * stripe..(m + 1) * stripe])
                         .into_iter()
-                        .map(Bytes::from)
+                        .map(PacketBuf::from)
                         .collect()
                 })
                 .collect();
@@ -266,7 +265,7 @@ impl Session {
                 }),
             },
             Strategy::Routing => Role::Server(ServerRole::Routing {
-                chunks: content.iter().cloned().map(Bytes::from).collect(),
+                chunks: content.iter().cloned().map(PacketBuf::from).collect(),
             }),
             Strategy::SourceErasure => {
                 Role::Server(ServerRole::Erasure { shares: stripes_shares.clone() })

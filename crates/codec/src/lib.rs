@@ -11,8 +11,9 @@
 //! | [`SlidingWindowCodec`] | `window` | bounded window over a packet stream (Li–Soljanin–Spasojević tradeoffs, arXiv:1011.3498) | live streams, bounded latency |
 //!
 //! All three speak [`CodedPacket`] on the wire, recode at intermediate
-//! nodes, and report uniform [`CodecProgress`], so `crates/broadcast` and
-//! `crates/net` can swap them per session (env override: `CURTAIN_CODEC`).
+//! nodes, and report uniform [`CodecProgress`], so `crates/broadcast` can
+//! swap them per session (`SessionConfig::with_codec`,
+//! `StreamConfig::with_codec`).
 //!
 //! # Example
 //!
@@ -60,27 +61,6 @@ pub enum CodecKind {
 }
 
 impl CodecKind {
-    /// Parses the selector used on CLIs and in `CURTAIN_CODEC`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<CodecKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "rlnc" | "whole" => Some(CodecKind::Rlnc),
-            "overlap" | "classes" => Some(CodecKind::Overlap),
-            "window" | "sliding" => Some(CodecKind::Window),
-            _ => None,
-        }
-    }
-
-    /// Reads `CURTAIN_CODEC` from the environment; unset or unrecognised
-    /// values fall back to [`CodecKind::Rlnc`].
-    #[must_use]
-    pub fn from_env() -> CodecKind {
-        std::env::var("CURTAIN_CODEC")
-            .ok()
-            .and_then(|v| CodecKind::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// The canonical selector string (`rlnc`/`overlap`/`window`).
     #[must_use]
     pub fn as_str(&self) -> &'static str {
@@ -305,11 +285,9 @@ mod tests {
     }
 
     #[test]
-    fn kind_parse_and_env_selectors() {
-        assert_eq!(CodecKind::parse("rlnc"), Some(CodecKind::Rlnc));
-        assert_eq!(CodecKind::parse(" Overlap "), Some(CodecKind::Overlap));
-        assert_eq!(CodecKind::parse("sliding"), Some(CodecKind::Window));
-        assert_eq!(CodecKind::parse("fountain"), None);
+    fn kind_selector_strings() {
+        assert_eq!(CodecKind::Rlnc.as_str(), "rlnc");
+        assert_eq!(CodecKind::Overlap.to_string(), "overlap");
         assert_eq!(CodecKind::Window.as_str(), "window");
     }
 

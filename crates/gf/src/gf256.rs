@@ -124,75 +124,100 @@ impl From<Gf256> for u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
-    proptest! {
-        #[test]
-        fn add_is_commutative_and_associative(a: u8, b: u8, c: u8) {
-            let (a, b, c) = (Gf256(a), Gf256(b), Gf256(c));
-            prop_assert_eq!(a.add(b), b.add(a));
-            prop_assert_eq!(a.add(b).add(c), a.add(b.add(c)));
-        }
+    // The field has 256 elements, so its laws are checked on every triple
+    // rather than on a sample.
+    fn all() -> impl Iterator<Item = Gf256> {
+        (0..=255u8).map(Gf256)
+    }
 
-        #[test]
-        fn mul_is_commutative_and_associative(a: u8, b: u8, c: u8) {
-            let (a, b, c) = (Gf256(a), Gf256(b), Gf256(c));
-            prop_assert_eq!(a.mul(b), b.mul(a));
-            prop_assert_eq!(a.mul(b).mul(c), a.mul(b.mul(c)));
-        }
-
-        #[test]
-        fn mul_distributes_over_add(a: u8, b: u8, c: u8) {
-            let (a, b, c) = (Gf256(a), Gf256(b), Gf256(c));
-            prop_assert_eq!(a.mul(b.add(c)), a.mul(b).add(a.mul(c)));
-        }
-
-        #[test]
-        fn additive_inverse_is_self(a: u8) {
-            let a = Gf256(a);
-            prop_assert_eq!(a.add(a), Gf256::ZERO);
-        }
-
-        #[test]
-        fn nonzero_elements_have_inverses(a in 1u8..) {
-            let a = Gf256(a);
-            prop_assert_eq!(a.mul(a.inv()), Gf256::ONE);
-            prop_assert_eq!(a.div(a), Gf256::ONE);
-        }
-
-        #[test]
-        fn identities(a: u8) {
-            let a = Gf256(a);
-            prop_assert_eq!(a.add(Gf256::ZERO), a);
-            prop_assert_eq!(a.mul(Gf256::ONE), a);
-            prop_assert_eq!(a.mul(Gf256::ZERO), Gf256::ZERO);
+    #[test]
+    fn add_is_commutative_and_associative() {
+        for a in all() {
+            for b in all() {
+                assert_eq!(a.add(b), b.add(a));
+                for c in all() {
+                    assert_eq!(a.add(b).add(c), a.add(b.add(c)));
+                }
+            }
         }
     }
 
-    proptest! {
-        /// The kernel-backed slice overrides must agree with the trait's
-        /// element-wise defaults (exercised here by hand).
-        #[test]
-        fn slice_ops_match_elementwise(c: u8, pairs in proptest::collection::vec(any::<(u8, u8)>(), 0..70)) {
-            let c = Gf256(c);
-            let src: Vec<Gf256> = pairs.iter().map(|p| Gf256(p.0)).collect();
-            let orig: Vec<Gf256> = pairs.iter().map(|p| Gf256(p.1)).collect();
+    #[test]
+    fn mul_is_commutative_and_associative() {
+        for a in all() {
+            for b in all() {
+                assert_eq!(a.mul(b), b.mul(a));
+                for c in all() {
+                    assert_eq!(a.mul(b).mul(c), a.mul(b.mul(c)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mul_distributes_over_add() {
+        for a in all() {
+            for b in all() {
+                for c in all() {
+                    assert_eq!(a.mul(b.add(c)), a.mul(b).add(a.mul(c)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn additive_inverse_is_self() {
+        for a in all() {
+            assert_eq!(a.add(a), Gf256::ZERO);
+        }
+    }
+
+    #[test]
+    fn nonzero_elements_have_inverses() {
+        for a in all().skip(1) {
+            assert_eq!(a.mul(a.inv()), Gf256::ONE);
+            assert_eq!(a.div(a), Gf256::ONE);
+        }
+    }
+
+    #[test]
+    fn identities() {
+        for a in all() {
+            assert_eq!(a.add(Gf256::ZERO), a);
+            assert_eq!(a.mul(Gf256::ONE), a);
+            assert_eq!(a.mul(Gf256::ZERO), Gf256::ZERO);
+        }
+    }
+
+    /// The kernel-backed slice overrides must agree with the trait's
+    /// element-wise defaults (exercised here by hand).
+    #[test]
+    fn slice_ops_match_elementwise() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..256 {
+            let c = Gf256(rng.random());
+            let len = rng.random_range(0..70);
+            let src: Vec<Gf256> = (0..len).map(|_| Gf256(rng.random())).collect();
+            let orig: Vec<Gf256> = (0..len).map(|_| Gf256(rng.random())).collect();
 
             let mut got = orig.clone();
             Gf256::axpy_slice(&mut got, c, &src);
             let want: Vec<Gf256> =
                 orig.iter().zip(&src).map(|(&d, &s)| d.add(c.mul(s))).collect();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want);
 
             let mut got = orig.clone();
             Gf256::scale_slice(&mut got, c);
             let want: Vec<Gf256> = orig.iter().map(|&d| c.mul(d)).collect();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want);
 
             let mut got = orig.clone();
             Gf256::add_slice(&mut got, &src);
             let want: Vec<Gf256> = orig.iter().zip(&src).map(|(&d, &s)| d.add(s)).collect();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want);
         }
     }
 

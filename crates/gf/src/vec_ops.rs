@@ -59,46 +59,64 @@ pub fn is_zero(v: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::{Field, Gf256};
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
-    proptest! {
-        #[test]
-        fn axpy_matches_scalar_loop(c: u8, data in proptest::collection::vec(any::<(u8, u8)>(), 0..64)) {
-            let src: Vec<u8> = data.iter().map(|p| p.0).collect();
-            let mut dst: Vec<u8> = data.iter().map(|p| p.1).collect();
+    #[test]
+    fn axpy_matches_scalar_loop() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..256 {
+            let c: u8 = rng.random();
+            let len = rng.random_range(0..64);
+            let src: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+            let mut dst: Vec<u8> = (0..len).map(|_| rng.random()).collect();
             let expect: Vec<u8> = dst
                 .iter()
                 .zip(&src)
                 .map(|(&d, &s)| Gf256::new(d).add(Gf256::new(c).mul(Gf256::new(s))).value())
                 .collect();
             axpy(&mut dst, c, &src);
-            prop_assert_eq!(dst, expect);
+            assert_eq!(dst, expect);
         }
+    }
 
-        #[test]
-        fn scale_then_unscale_is_identity(c in 1u8.., v in proptest::collection::vec(any::<u8>(), 0..64)) {
+    #[test]
+    fn scale_then_unscale_is_identity() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..256 {
+            let c = rng.random_range(1u8..=255);
+            let v: Vec<u8> = (0..rng.random_range(0..64)).map(|_| rng.random()).collect();
             let mut w = v.clone();
             scale_assign(&mut w, c);
             scale_assign(&mut w, Gf256::new(c).inv().value());
-            prop_assert_eq!(w, v);
+            assert_eq!(w, v);
         }
+    }
 
-        #[test]
-        fn add_assign_twice_cancels(a in proptest::collection::vec(any::<u8>(), 0..64)) {
+    #[test]
+    fn add_assign_twice_cancels() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..256 {
+            let a: Vec<u8> = (0..rng.random_range(0..64)).map(|_| rng.random()).collect();
             let mut d = vec![0u8; a.len()];
             add_assign(&mut d, &a);
             add_assign(&mut d, &a);
-            prop_assert!(is_zero(&d));
+            assert!(is_zero(&d));
         }
+    }
 
-        #[test]
-        fn dot_is_bilinear(c: u8, a in proptest::collection::vec(any::<u8>(), 1..32)) {
+    #[test]
+    fn dot_is_bilinear() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..256 {
+            let c: u8 = rng.random();
+            let a: Vec<u8> = (0..rng.random_range(1..32)).map(|_| rng.random()).collect();
             // dot(c*a, a) == c * dot(a, a)
             let mut ca = a.clone();
             scale_assign(&mut ca, c);
             let lhs = dot(&ca, &a);
             let rhs = Gf256::new(c).mul(Gf256::new(dot(&a, &a))).value();
-            prop_assert_eq!(lhs, rhs);
+            assert_eq!(lhs, rhs);
         }
     }
 

@@ -5,7 +5,7 @@
 //! defect bound, Theorem 5's collapse-time scaling, Lemmas 6/7's drift —
 //! each reproduced by one `curtain-bench` experiment. This crate turns
 //! those experiments from serial table-printers into **sweeps**: typed
-//! parameter grids executed cell-by-cell on a work-stealing pool, cached
+//! parameter grids executed cell-by-cell on a thread pool, cached
 //! on disk, summarized as machine-readable `BENCH_<exp>.json` reports,
 //! and *gated* — `lab check` exits non-zero when a measured curve stops
 //! satisfying the paper's bounds.
@@ -16,9 +16,10 @@
 //!   points, a deterministic `run(params, seed) → Measurement` cell
 //!   function, and zero or more [`claims::Claim`] checks over the
 //!   aggregated curves;
-//! * [`pool`] — executes the (point × seed) cell matrix on a crossbeam
-//!   work-stealing pool. Cells carry their own seeds and share nothing,
-//!   so results are **byte-identical at any `--jobs` count**;
+//! * [`pool`] — executes the (point × seed) cell matrix on scoped threads
+//!   that claim cells from one shared cursor. Cells carry their own
+//!   seeds and share nothing, so results are **byte-identical at any
+//!   `--jobs` count**;
 //! * [`cache`] — a content-addressed on-disk JSON store keyed by
 //!   (experiment, params, seed, code-salt): interrupted or repeated
 //!   sweeps resume as cache hits;

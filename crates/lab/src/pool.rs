@@ -1,21 +1,20 @@
-//! Work-stealing execution of the (point × seed) cell matrix.
+//! Parallel execution of the (point × seed) cell matrix.
 //!
-//! Cells are pushed into a `crossbeam::deque::Injector`; each worker
-//! thread drains its local queue, refills from the injector in batches,
-//! and steals from siblings when both run dry. Every cell carries its own
-//! seed and writes only its own result slot, so the measurement vector is
-//! **identical at any job count** — parallelism changes wall-time, never
-//! bytes.
+//! The matrix is a fixed list and cells never spawn cells, so the
+//! scheduler is one shared cursor: each worker thread claims the next
+//! unclaimed cell index until the list is exhausted. Every cell carries
+//! its own seed and writes only its own result slot, so the measurement
+//! vector is **identical at any job count** — parallelism changes
+//! wall-time, never bytes.
 //!
 //! Wall-clock observations (per-cell run time, cache hit/miss counts) go
 //! into the caller's [`MetricsRegistry`]; they feed the `.timing.json`
 //! sidecar and never the deterministic report.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use curtain_telemetry::MetricsRegistry;
 
 use crate::cache::Cache;
@@ -60,25 +59,19 @@ pub fn run_cells(
         cells.iter().map(|_| Mutex::new(None)).collect();
 
     let jobs = jobs.clamp(1, cells.len().max(1));
-    let injector: Injector<usize> = Injector::new();
-    for index in 0..cells.len() {
-        injector.push(index);
-    }
-    let workers: Vec<Worker<usize>> = (0..jobs).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
+    // Relaxed: the cursor only hands out indices; each result is published
+    // through its slot's mutex and the scope's join.
+    let cursor = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        for local in workers {
-            let (injector, stealers) = (&injector, &stealers[..]);
-            let (slots, hits, misses) = (&slots[..], &hits, &misses);
-            scope.spawn(move || {
-                while let Some(index) = find_task(&local, injector, stealers) {
-                    let cell = &cells[index];
-                    let measurement = run_one(
-                        sweep, cell, salt, cache, fresh, metrics, hits, misses,
-                    );
-                    *slots[index].lock().unwrap() = Some(measurement);
-                }
+        for _ in 0..jobs {
+            let (cursor, slots, hits, misses) = (&cursor, &slots[..], &hits, &misses);
+            scope.spawn(move || loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(index) else { break };
+                let measurement =
+                    run_one(sweep, cell, salt, cache, fresh, metrics, hits, misses);
+                *slots[index].lock().unwrap() = Some(measurement);
             });
         }
     });
@@ -127,21 +120,6 @@ fn run_one(
         }
     }
     measurement
-}
-
-/// The standard crossbeam scheduling loop: local queue first, then batch
-/// from the injector, then steal from siblings; `None` means the matrix
-/// is drained (cells never spawn cells, so empty-everywhere is final).
-fn find_task<T>(local: &Worker<T>, global: &Injector<T>, stealers: &[Stealer<T>]) -> Option<T> {
-    local.pop().or_else(|| {
-        std::iter::repeat_with(|| {
-            global
-                .steal_batch_and_pop(local)
-                .or_else(|| stealers.iter().map(Stealer::steal).collect())
-        })
-        .find(|s| !s.is_retry())
-        .and_then(Steal::success)
-    })
 }
 
 #[cfg(test)]

@@ -14,18 +14,18 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use curtain_overlay::{NodeId, OverlayConfig, ThreadId};
 use curtain_telemetry::trace::COORDINATOR_NODE;
 use curtain_telemetry::{Event, SharedRecorder, TraceContext};
-use parking_lot::{Condvar, Mutex};
 
 use crate::core::backoff::Backoff;
 use crate::core::coordinator::{ControlCore, CoreOutcome};
 use crate::framing;
+use crate::lock;
 use crate::proto::{self, Request, Response};
 use crate::wal::{Wal, WalOptions, WalRecord, WalStore};
 
@@ -187,28 +187,25 @@ impl CommitShared {
 
     /// Blocks until `seq` is durable, the WAL degrades, or `timeout`.
     fn wait_durable(&self, seq: u64, timeout: Duration) -> DurableWait {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            if inner.durable_seq >= seq {
-                return DurableWait::Durable;
-            }
-            if inner.degraded || inner.stop {
-                return DurableWait::Degraded;
-            }
-            if self.cond.wait_until(&mut inner, deadline).timed_out() {
-                return if inner.durable_seq >= seq {
-                    DurableWait::Durable
-                } else {
-                    DurableWait::TimedOut
-                };
-            }
+        let pending = |inner: &mut CommitInner| {
+            inner.durable_seq < seq && !inner.degraded && !inner.stop
+        };
+        let (inner, _) = self
+            .cond
+            .wait_timeout_while(lock(&self.inner), timeout, pending)
+            .unwrap_or_else(PoisonError::into_inner);
+        if inner.durable_seq >= seq {
+            DurableWait::Durable
+        } else if inner.degraded || inner.stop {
+            DurableWait::Degraded
+        } else {
+            DurableWait::TimedOut
         }
     }
 
     /// Whether this coordinator refuses non-durable mutations.
     fn strict(&self) -> bool {
-        self.inner.lock().strict
+        lock(&self.inner).strict
     }
 }
 
@@ -225,21 +222,23 @@ const COMMIT_COALESCE: Duration = Duration::from_micros(500);
 fn committer_loop(shared: &Arc<CommitShared>) {
     loop {
         let ops = {
-            let mut inner = shared.inner.lock();
-            while inner.queue.is_empty() && !inner.stop {
-                shared.cond.wait(&mut inner);
-            }
+            let inner = shared
+                .cond
+                .wait_while(lock(&shared.inner), |inner| inner.queue.is_empty() && !inner.stop)
+                .unwrap_or_else(PoisonError::into_inner);
             if inner.queue.is_empty() {
                 return; // stop requested and fully drained
             }
             // Accumulation window: producers notifying during the wait
             // just re-enter it; the batch closes at the deadline (or
             // immediately on stop, where latency no longer matters).
-            let window = Instant::now() + COMMIT_COALESCE;
-            while !inner.stop && !shared.cond.wait_until(&mut inner, window).timed_out() {}
+            let (mut inner, _) = shared
+                .cond
+                .wait_timeout_while(inner, COMMIT_COALESCE, |inner| !inner.stop)
+                .unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut inner.queue)
         };
-        let Some(mut wal) = shared.inner.lock().wal.take() else {
+        let Some(mut wal) = lock(&shared.inner).wal.take() else {
             return; // unreachable: only this thread takes the handle
         };
         let started = Instant::now();
@@ -273,7 +272,7 @@ fn committer_loop(shared: &Arc<CommitShared>) {
         let batch = appended.len() as u64;
         let (bytes, records) = (wal.bytes(), wal.records());
         {
-            let mut inner = shared.inner.lock();
+            let mut inner = lock(&shared.inner);
             if compact_attempted {
                 inner.note_compact_result(compact_ok, &shared.recorder);
             }
@@ -323,7 +322,7 @@ impl State {
     /// refuse mutations instead.
     fn log(&mut self, record: WalRecord) {
         let commit = Arc::clone(&self.commit);
-        let mut inner = commit.inner.lock();
+        let mut inner = lock(&commit.inner);
         if !inner.enabled || inner.degraded {
             return;
         }
@@ -370,7 +369,7 @@ impl State {
 
     /// Whether strict mode is refusing mutations right now.
     fn refuses_mutations(&self) -> bool {
-        let inner = self.commit.inner.lock();
+        let inner = lock(&self.commit.inner);
         inner.enabled && inner.strict && inner.degraded
     }
 
@@ -404,13 +403,13 @@ impl State {
                     // The snapshot covers the full *memory* state, i.e.
                     // everything up to the last admitted mutation — tailing
                     // after this seq never replays a covered record.
-                    let seq = self.commit.inner.lock().appended_seq;
+                    let seq = lock(&self.commit.inner).appended_seq;
                     Response::Snapshot { seq, record: ck.to_json() }
                 }
                 Err(reason) => Response::Error { reason },
             },
             Request::WalTail { after } => {
-                let inner = self.commit.inner.lock();
+                let inner = lock(&self.commit.inner);
                 if !inner.enabled {
                     return Response::Error { reason: "coordinator has no wal".into() };
                 }
@@ -688,7 +687,7 @@ impl Coordinator {
         recorder.record(&Event::CoordinatorRecovered { replayed, resynced });
         recorder.gauge("coordinator_members", state.core.server().matrix().len() as f64);
         {
-            let inner = state.commit.inner.lock();
+            let inner = lock(&state.commit.inner);
             if let Some(w) = inner.wal.as_ref() {
                 recorder.gauge("wal_bytes", w.bytes() as f64);
                 recorder.gauge("wal_records", w.records() as f64);
@@ -707,12 +706,12 @@ impl Coordinator {
             // Publish the members gauge before the first connection so a
             // scrape of a freshly started coordinator sees an explicit zero
             // rather than an empty exposition.
-            let st = state.lock();
+            let st = lock(&state);
             st.recorder.gauge("coordinator_members", st.core.server().matrix().len() as f64);
         }
         // A durable coordinator always has a committer; a WAL-less one
         // never queues anything for it.
-        let wal_configured = commit.inner.lock().enabled;
+        let wal_configured = lock(&commit.inner).enabled;
         let committer = wal_configured.then(|| {
             let commit = Arc::clone(&commit);
             std::thread::spawn(move || committer_loop(&commit))
@@ -735,27 +734,26 @@ impl Coordinator {
     /// Current member count.
     #[must_use]
     pub fn members(&self) -> usize {
-        self.state.lock().core.server().matrix().len()
+        lock(&self.state).core.server().matrix().len()
     }
 
     /// Peers that reported full decode.
     #[must_use]
     pub fn completed(&self) -> usize {
-        self.state.lock().core.completed().len()
+        lock(&self.state).core.completed().len()
     }
 
     /// Repairs executed so far.
     #[must_use]
     pub fn repairs(&self) -> u64 {
-        self.state.lock().core.server().metrics().repairs
+        lock(&self.state).core.server().metrics().repairs
     }
 
-    /// The matrix rows — `(node id, threads)` in matrix order — a
-    /// serde-free view of `M` for assertions and operator tooling.
+    /// The matrix rows — `(node id, threads)` in matrix order — a plain
+    /// view of `M` for assertions and operator tooling.
     #[must_use]
     pub fn matrix_rows(&self) -> Vec<(u64, Vec<ThreadId>)> {
-        self.state
-            .lock()
+        lock(&self.state)
             .core
             .server()
             .matrix()
@@ -787,7 +785,7 @@ impl Coordinator {
     ///
     /// Propagates serialization errors.
     pub fn checkpoint_json(&self) -> io::Result<String> {
-        self.state.lock().core.server().to_json().map_err(io::Error::other)
+        lock(&self.state).core.server().to_json().map_err(io::Error::other)
     }
 
     /// Proactive resync sweep (blocking): probes every known
@@ -817,9 +815,9 @@ impl Coordinator {
     /// the next [`Coordinator::recover`] replays O(1) records).
     pub fn shutdown(mut self) {
         self.stop_now();
-        let st = self.state.lock();
+        let st = lock(&self.state);
         let ck = st.core.checkpoint();
-        let mut inner = st.commit.inner.lock();
+        let mut inner = lock(&st.commit.inner);
         if inner.enabled && !inner.degraded {
             if let (Ok(ck), Some(wal)) = (ck, inner.wal.as_mut()) {
                 let _ = wal.compact(&ck);
@@ -843,13 +841,13 @@ impl Coordinator {
             // has been fsynced (or the coordinator is degraded).
             if let Some(c) = self.committer.take() {
                 {
-                    let mut inner = self.commit.inner.lock();
+                    let mut inner = lock(&self.commit.inner);
                     inner.stop = true;
                 }
                 self.commit.cond.notify_all();
                 let _ = c.join();
             }
-            let st = self.state.lock();
+            let st = lock(&self.state);
             st.recorder.record(&Event::CoordinatorDown {
                 members: st.core.server().matrix().len() as u64,
             });
@@ -864,7 +862,7 @@ impl Coordinator {
 fn health_json_of(state: &Mutex<State>) -> String {
     use curtain_telemetry::json::JsonValue;
     use std::collections::BTreeMap;
-    let st = state.lock();
+    let st = lock(state);
     let metrics = st.core.server().metrics();
     let mut doc = BTreeMap::new();
     doc.insert("role".to_string(), JsonValue::Str("coordinator".to_string()));
@@ -875,7 +873,7 @@ fn health_json_of(state: &Mutex<State>) -> String {
     doc.insert("completed".to_string(), JsonValue::Int(st.core.completed().len() as i64));
     doc.insert("repairs".to_string(), JsonValue::Int(metrics.repairs as i64));
     doc.insert("source_registered".to_string(), JsonValue::Bool(st.core.source().is_some()));
-    let inner = st.commit.inner.lock();
+    let inner = lock(&st.commit.inner);
     doc.insert("wal_enabled".to_string(), JsonValue::Bool(inner.enabled));
     // `durable` is the headline bit operators alert on: true only while
     // every acknowledged mutation is known fsynced. A WAL-less
@@ -906,7 +904,7 @@ fn resync_sweep(state: &Mutex<State>) -> SweepReport {
     // Snapshot the member list first; probing under the state lock would
     // stall every admission behind the slowest peer's connect timeout.
     let members: Vec<(NodeId, SocketAddr)> = {
-        let st = state.lock();
+        let st = lock(state);
         st.core.addrs().iter().map(|(n, a)| (*n, *a)).collect()
     };
     let mut report = SweepReport { probed: 0, nudged: 0, spliced: 0 };
@@ -919,7 +917,7 @@ fn resync_sweep(state: &Mutex<State>) -> SweepReport {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
-                let mut st = state.lock();
+                let mut st = lock(state);
                 // The peer may have re-announced (new address) or left
                 // while we probed unlocked — only splice if the stale
                 // address is still the one on file.
@@ -934,7 +932,7 @@ fn resync_sweep(state: &Mutex<State>) -> SweepReport {
             Err(_) => {}
         }
     }
-    let st = state.lock();
+    let st = lock(state);
     st.recorder.counter("sweep_probes", report.probed as u64);
     st.recorder.counter("sweep_nudged", report.nudged as u64);
     st.recorder.counter("sweep_spliced", report.spliced as u64);
@@ -1054,7 +1052,7 @@ fn handle_connection(
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let request = proto::read_request(stream)?;
-    let (mut response, wait) = state.lock().handle(request);
+    let (mut response, wait) = lock(state).handle(request);
     // The response computed above is not released until the batch
     // holding this mutation's WAL record is fsynced. The
     // state lock is NOT held here — other mutations pile into the same
@@ -1248,7 +1246,7 @@ mod tests {
         // Find a (child, thread, parent) relation where the parent is a
         // node (straight from the in-process matrix — no checkpoint).
         let (child, thread, failed) = {
-            let st = c.state.lock();
+            let st = lock(&c.state);
             let mut found = None;
             'outer: for &n in &nodes {
                 let pos = st.core.server().matrix().position_of(n).unwrap();
@@ -1288,7 +1286,7 @@ mod tests {
         assert_eq!(t2, thread);
         assert_eq!(c.repairs(), 1, "duplicate complaint must not re-repair");
         assert_ne!(second.node(), Some(failed));
-        let expected = c.state.lock().core.current_parent(child, thread).unwrap();
+        let expected = lock(&c.state).core.current_parent(child, thread).unwrap();
         assert_eq!(second, expected);
     }
 

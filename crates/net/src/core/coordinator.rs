@@ -777,16 +777,30 @@ mod tests {
         else {
             panic!("checkpoint() returned another variant");
         };
+        // A checkpoint arrives from disk or from a primary: a well-formed
+        // document whose row cannot be in `M` is an error, not a panic.
+        let one_row = |threads: &str| Record::Checkpoint {
+            server: format!(
+                r#"{{"config":{{"k":4,"d":2,"insert_policy":"Append"}},"matrix":{{"k":4,"rows":[{{"node":0,"threads":{threads},"status":"Working"}}]}},"next_id":1}}"#
+            ),
+            addrs: vec![(0, Slot(0))],
+            source: None,
+            completed: vec![],
+            epoch: 0,
+        };
         let unaddressed = Record::Checkpoint { server, addrs: vec![], source, completed, epoch };
         let other_shape: ControlCore<Slot> =
             ControlCore::new(OverlayConfig::new(8, 3), 7, SharedRecorder::null()).unwrap();
-        let cases: [(&str, Vec<Record<Slot>>, &str); 6] = [
+        let cases: [(&str, Vec<Record<Slot>>, &str); 9] = [
             ("hello past the end of M", vec![hello(0, 1, &[0, 1])], "position 1 of 0"),
             ("duplicate node", vec![hello(0, 0, &[0, 1]), hello(0, 1, &[2, 3])], "duplicate row"),
             ("d-1 threads", vec![hello(0, 0, &[2])], "exactly d=2 distinct threads"),
             ("thread >= k", vec![hello(0, 0, &[0, 4])], "exactly d=2 distinct threads"),
             ("member without address", vec![unaddressed], "has no data address"),
             ("checkpoint for another (k, d)", vec![other_shape.checkpoint().unwrap()], "k=8, d=3"),
+            ("checkpoint row without threads", vec![one_row("[]")], "bad checkpoint: "),
+            ("checkpoint row with a thread >= k", vec![one_row("[200,1]")], "bad checkpoint: "),
+            ("checkpoint row with a repeated thread", vec![one_row("[1,1]")], "bad checkpoint: "),
         ];
         for (name, stream, needle) in cases {
             match replay(stream) {
@@ -796,6 +810,7 @@ mod tests {
         }
         // The well-formed neighbours of those streams are accepted.
         assert_eq!(rows(&replay(vec![hello(0, 0, &[0, 3])]).unwrap()).len(), 1);
+        assert_eq!(rows(&replay(vec![one_row("[0,3]")]).unwrap()).len(), 1);
     }
 
     /// [`Reply::of`] is pinned to what a complaint really gets back, not

@@ -284,7 +284,6 @@ pub fn decode_frame_prefix(buf: &[u8], pool: &BufPool) -> Result<(TaggedFrame, u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -298,7 +297,7 @@ mod tests {
         CodedPacket::new(
             generation,
             vec![1, 2, 3],
-            Bytes::from((0..payload_len).map(|i| (i % 251) as u8).collect::<Vec<_>>()),
+            (0..payload_len).map(|i| (i % 251) as u8).collect::<Vec<_>>(),
         )
     }
 

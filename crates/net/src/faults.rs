@@ -33,11 +33,11 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// What the proxy currently does to traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,20 +115,20 @@ impl FaultProxy {
     /// effect within ~50ms; a chunk already in flight may still be
     /// forwarded under the previous fault.
     pub fn set_fault(&self, fault: Fault) {
-        *self.shared.fault.lock() = fault;
+        *lock(&self.shared.fault) = fault;
     }
 
     /// The currently active fault.
     #[must_use]
     pub fn fault(&self) -> Fault {
-        *self.shared.fault.lock()
+        *lock(&self.shared.fault)
     }
 
     /// Hard-closes every live proxied connection (new ones still accept
     /// under the current fault) — the "parent crashed" signal.
     pub fn cut(&self) {
         self.shared.epoch.fetch_add(1, Ordering::SeqCst);
-        let mut live = self.shared.live.lock();
+        let mut live = lock(&self.shared.live);
         for s in live.drain(..) {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -151,7 +151,7 @@ impl FaultProxy {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        let pumps: Vec<_> = self.shared.pumps.lock().drain(..).collect();
+        let pumps: Vec<_> = lock(&self.shared.pumps).drain(..).collect();
         for h in pumps {
             let _ = h.join();
         }
@@ -178,7 +178,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((client, _)) => {
-                if matches!(*shared.fault.lock(), Fault::Refuse) {
+                if matches!(*lock(&shared.fault), Fault::Refuse) {
                     drop(client); // immediate close: connection refused-ish
                     continue;
                 }
@@ -208,7 +208,7 @@ fn spawn_pumps(
 ) {
     let register = |s: &TcpStream| s.try_clone().ok();
     {
-        let mut live = shared.live.lock();
+        let mut live = lock(&shared.live);
         if let Some(c) = register(&client) {
             live.push(c);
         }
@@ -220,7 +220,7 @@ fn spawn_pumps(
         (client.try_clone(), upstream.try_clone()),
         (Ok(upstream), Ok(client)),
     ];
-    let mut pumps = shared.pumps.lock();
+    let mut pumps = lock(&shared.pumps);
     for (from, to) in pairs {
         let (Ok(from), Ok(to)) = (from, to) else { continue };
         let shared = Arc::clone(shared);
@@ -246,7 +246,7 @@ fn pump(shared: &ProxyShared, mut from: &TcpStream, mut to: &TcpStream, epoch: u
         {
             return;
         }
-        let fault = *shared.fault.lock();
+        let fault = *lock(&shared.fault);
         if matches!(fault, Fault::Blackhole) {
             // Stop pulling; TCP backpressure parks the stream intact.
             std::thread::sleep(Duration::from_millis(10));

@@ -199,7 +199,6 @@ fn read_exact_or_eof(stream: &mut impl Read, buf: &mut [u8]) -> io::Result<bool>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use curtain_overlay::NodeId;
     use std::net::TcpListener;
 
@@ -213,7 +212,7 @@ mod tests {
     fn frame_round_trips_every_flag_combination() {
         let pool = BufPool::default();
         let mut scratch = Vec::new();
-        let p = CodedPacket::new(7, vec![1, 2, 3], Bytes::from(vec![4u8; 24]));
+        let p = CodedPacket::new(7, vec![1, 2, 3], vec![4u8; 24]);
         for (ctx, base) in FLAG_CASES {
             let mut buf = Vec::new();
             write_frame_tagged_into(&mut buf, &p, ctx, base, &mut scratch).unwrap();
@@ -265,7 +264,7 @@ mod tests {
         let mut scratch = Vec::new();
         let mut buf = Vec::new();
         for i in 0..8u8 {
-            let p = CodedPacket::new(0, vec![i + 1, 0], Bytes::from(vec![i; 16]));
+            let p = CodedPacket::new(0, vec![i + 1, 0], vec![i; 16]);
             let (ctx, base) = FLAG_CASES[usize::from(i) % FLAG_CASES.len()];
             write_frame_tagged_into(&mut buf, &p, ctx, base, &mut scratch).unwrap();
         }
@@ -285,7 +284,7 @@ mod tests {
     fn truncated_frame_is_an_error_for_every_flag_combination() {
         let pool = BufPool::default();
         let mut scratch = Vec::new();
-        let p = CodedPacket::new(0, vec![1], Bytes::from(vec![5u8; 8]));
+        let p = CodedPacket::new(0, vec![1], vec![5u8; 8]);
         for (ctx, base) in FLAG_CASES {
             let mut buf = Vec::new();
             write_frame_tagged_into(&mut buf, &p, ctx, base, &mut scratch).unwrap();
@@ -340,7 +339,7 @@ mod tests {
         // The fault a truncating proxy (or a crash mid-write) produces:
         // the length prefix promises more bytes than ever arrive.
         let (client, mut server) = tcp_pair();
-        let p = CodedPacket::new(0, vec![1, 2], Bytes::from(vec![3u8; 256]));
+        let p = CodedPacket::new(0, vec![1, 2], vec![3u8; 256]);
         let wire = p.to_wire();
         {
             let mut w = &client;

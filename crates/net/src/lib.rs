@@ -107,3 +107,12 @@ pub use core::repair::RepairPolicy;
 pub use source::{PendingSource, Source};
 pub use standby::{Standby, StandbyOptions};
 pub use wal::{Wal, WalOptions, WalRecord, WalStore};
+
+/// Locks `mutex`, recovering the guard if a holder panicked. This crate's
+/// locks have never poisoned and must not start: one panicking connection
+/// handler would turn every later control call, health probe and shutdown
+/// into a panic. What they guard is a flag, a plain collection, or a
+/// sans-io core that answers any request from whatever state it holds.
+fn lock<T: ?Sized>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

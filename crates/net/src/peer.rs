@@ -14,7 +14,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -22,7 +22,6 @@ use curtain_overlay::NodeId;
 use curtain_rlnc::BufPool;
 use curtain_telemetry::trace::{wall_micros, NO_PARENT};
 use curtain_telemetry::{Event, SharedRecorder, TraceContext};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,6 +30,7 @@ use crate::core::peer::{LinkLiveness, ObjectState, SendLedger};
 use crate::core::repair::{Episode, RepairBudget, RepairPolicy, Step};
 use crate::transport::tcp;
 use crate::framing::{self, Subscribe};
+use crate::lock;
 use crate::proto::{self, ParentAddr, Request, Response};
 
 const CALL_TIMEOUT: Duration = Duration::from_secs(5);
@@ -127,7 +127,7 @@ impl Shared {
     /// retries the whole dance.
     fn resync(&self, ctx: Option<TraceContext>) {
         let parents: Vec<(u16, Option<NodeId>)> =
-            self.parents.lock().iter().map(|(t, p)| (*t, p.node())).collect();
+            lock(&self.parents).iter().map(|(t, p)| (*t, p.node())).collect();
         self.recorder.counter("peer_resyncs", 1);
         let _ = proto::call(
             self.coordinator,
@@ -221,7 +221,7 @@ impl Peer {
                 value: curtain_gf::kernels::active().name().to_string(),
             });
             // Label per-packet innovation events with this peer's id.
-            let mut state = shared.state.lock();
+            let mut state = lock(&shared.state);
             for recoder in &mut state.recoders {
                 recoder.set_telemetry(shared.recorder.clone(), node.0);
             }
@@ -241,7 +241,7 @@ impl Peer {
                             let handle = std::thread::spawn(move || {
                                 let _ = serve_child(&stream, &worker_shared, pace, s);
                             });
-                            let mut children = shared.children.lock();
+                            let mut children = lock(&shared.children);
                             // Reap naturally finished children so the
                             // list stays bounded on long-lived peers.
                             children.retain(|h| !h.is_finished());
@@ -278,7 +278,7 @@ impl Peer {
     /// Current total decoding rank across generations.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.shared.state.lock().rank()
+        lock(&self.shared.state).rank()
     }
 
     /// True once the full generation is decodable.
@@ -290,7 +290,7 @@ impl Peer {
     /// Child subscriptions currently being served.
     #[must_use]
     pub fn active_children(&self) -> usize {
-        self.shared.children.lock().iter().filter(|h| !h.is_finished()).count()
+        lock(&self.shared.children).iter().filter(|h| !h.is_finished()).count()
     }
 
     /// Repair episodes currently in flight on this peer's upstream threads.
@@ -331,7 +331,7 @@ impl Peer {
     /// `None` before completion.
     #[must_use]
     pub fn decoded_content(&self) -> Option<Vec<u8>> {
-        let generations = self.shared.state.lock().recover_all()?;
+        let generations = lock(&self.shared.state).recover_all()?;
         let mut out = Vec::new();
         for packets in generations {
             for p in packets {
@@ -369,7 +369,7 @@ impl Peer {
         // drain and join every per-child serving thread too — by the
         // time `crash()`/`leave()` returns, nothing serves this peer's
         // sockets and the recorder flush below races nobody.
-        let children: Vec<_> = self.shared.children.lock().drain(..).collect();
+        let children: Vec<_> = lock(&self.shared.children).drain(..).collect();
         for h in children {
             let _ = h.join();
         }
@@ -402,13 +402,13 @@ fn health_json_of(shared: &Shared) -> String {
     use curtain_telemetry::json::JsonValue;
     use std::collections::BTreeMap;
     let (ranks, total_rank, complete_generations, frames) = {
-        let st = shared.state.lock();
+        let st = lock(&shared.state);
         let ranks: Vec<JsonValue> =
             st.recoders.iter().map(|r| JsonValue::Int(r.rank() as i64)).collect();
         (ranks, st.rank(), st.complete_count, st.coding_stats())
     };
     let active_children =
-        shared.children.lock().iter().filter(|h| !h.is_finished()).count();
+        lock(&shared.children).iter().filter(|h| !h.is_finished()).count();
     let pool = shared.pool.stats();
     let mut doc = BTreeMap::new();
     doc.insert("role".to_string(), JsonValue::Str("peer".to_string()));
@@ -471,7 +471,7 @@ fn serve_child(stream: &TcpStream, shared: &Shared, pace: Duration, seed: u64) -
     let traced = shared.recorder.is_enabled();
     let tracing = shared.tracing();
     let mut scratch = Vec::new();
-    let mut link = SendLedger::new(shared.state.lock().recoders.len());
+    let mut link = SendLedger::new(lock(&shared.state).recoders.len());
     let mut idled = false;
     while !shared.stop.load(Ordering::SeqCst) {
         // Lock held only for the ledger's pick and an O(1) Arc clone of the
@@ -480,7 +480,7 @@ fn serve_child(stream: &TcpStream, shared: &Shared, pace: Duration, seed: u64) -
         // push path never wait on each other's math (and nothing is copied
         // under the lock).
         let picked = {
-            let mut st = shared.state.lock();
+            let mut st = lock(&shared.state);
             st.pick(&mut link, idled).map(|pick| {
                 let (snapshot, recv_ctx) = st.snapshot_of(pick.generation());
                 (pick, snapshot, recv_ctx, st.window_base)
@@ -578,7 +578,7 @@ fn read_until_defect(shared: &Shared, thread: u16, parent: ParentAddr, now_us: &
                 // One lock per frame: the push and, if it was innovative,
                 // whether it was the one that completed the object.
                 let completed = {
-                    let mut st = shared.state.lock();
+                    let mut st = lock(&shared.state);
                     if let Some(base) = base {
                         st.advance_window(base as usize);
                     }
@@ -663,7 +663,7 @@ fn run_episode(
             Step::Resubscribe { parent: new_parent, attempts } => {
                 let done = spans.child(shared, "repair_complete");
                 *parent = new_parent;
-                let mut view = shared.parents.lock();
+                let mut view = lock(&shared.parents);
                 if let Some(entry) = view.iter_mut().find(|(t, _)| *t == thread) {
                     entry.1 = *parent;
                 }
@@ -795,7 +795,7 @@ mod tests {
             let start = Arc::clone(&start);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                let snapshot = state.lock().snapshot_next().expect("rank > 0");
+                let snapshot = lock(&state).snapshot_next().expect("rank > 0");
                 start.wait();
                 let mut rng = StdRng::seed_from_u64(7);
                 let until = Instant::now() + Duration::from_millis(250);
@@ -815,11 +815,11 @@ mod tests {
         let mut pushes = 0u64;
         while !done.load(Ordering::SeqCst) {
             match state.try_lock() {
-                Some(mut st) => {
+                Ok(mut st) => {
                     st.push(encoder.next_packet(&mut rng));
                     pushes += 1;
                 }
-                None => panic!("state lock contended while a child recodes"),
+                Err(_) => panic!("state lock contended while a child recodes"),
             }
             checks += 1;
             std::thread::sleep(Duration::from_micros(200));

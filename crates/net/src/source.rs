@@ -4,11 +4,10 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 
 use curtain_rlnc::pipeline::ObjectEncoder;
 use curtain_rlnc::Content;
@@ -21,6 +20,7 @@ use crate::core::peer::{Pick, SendLedger};
 use crate::core::source::{self, Window};
 use crate::transport::tcp;
 use crate::framing;
+use crate::lock;
 use crate::proto::{self, Request, Response};
 
 /// A source that has bound its data port but not yet registered with a
@@ -208,7 +208,7 @@ impl PendingSource {
                                     window,
                                 );
                             });
-                            let mut subs = subscribers.lock();
+                            let mut subs = lock(&subscribers);
                             subs.retain(|h: &JoinHandle<()>| !h.is_finished());
                             subs.push(handle);
                         }
@@ -375,7 +375,7 @@ impl Source {
         }
         // Accept loop is joined, so the subscriber list is final; join
         // every serving thread so shutdown really quiesces the source.
-        let subs: Vec<_> = self.subscribers.lock().drain(..).collect();
+        let subs: Vec<_> = lock(&self.subscribers).drain(..).collect();
         for h in subs {
             let _ = h.join();
         }

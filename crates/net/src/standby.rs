@@ -17,16 +17,16 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use curtain_overlay::OverlayConfig;
 use curtain_telemetry::{Event, SharedRecorder};
-use parking_lot::{Condvar, Mutex};
 
 use crate::coordinator::Coordinator;
 use crate::core::standby::{FollowDirective, FollowEvent, FollowStep, FollowerCore};
+use crate::lock;
 use crate::proto::{self, Request, Response};
 use crate::wal::{Wal, WalOptions, WalRecord};
 
@@ -135,7 +135,7 @@ impl Standby {
     /// Whether promotion has happened (successfully or not).
     #[must_use]
     pub fn is_promoted(&self) -> bool {
-        self.shared.promoted.lock().is_some()
+        lock(&self.shared.promoted).is_some()
     }
 
     /// Requests immediate promotion (planned switchover / drill) without
@@ -146,14 +146,12 @@ impl Standby {
 
     /// Blocks until promotion happens or `timeout` passes.
     pub fn wait_promoted(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut promoted = self.shared.promoted.lock();
-        while promoted.is_none() {
-            if self.shared.promoted_cond.wait_until(&mut promoted, deadline).timed_out() {
-                return promoted.is_some();
-            }
-        }
-        true
+        let (promoted, _) = self
+            .shared
+            .promoted_cond
+            .wait_timeout_while(lock(&self.shared.promoted), timeout, |p| p.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        promoted.is_some()
     }
 
     /// Takes the promoted coordinator, if failover has happened.
@@ -162,7 +160,7 @@ impl Standby {
     ///
     /// Returns the recovery error if promotion was attempted and failed.
     pub fn take_promoted(&mut self) -> Option<io::Result<Coordinator>> {
-        self.shared.promoted.lock().take()
+        lock(&self.shared.promoted).take()
     }
 
     /// Stops the follower thread (and any promoted coordinator still
@@ -312,7 +310,7 @@ fn promote(shared: &Arc<Shared>, options: &StandbyOptions, recorder: &SharedReco
 }
 
 fn publish(shared: &Arc<Shared>, result: io::Result<Coordinator>) {
-    *shared.promoted.lock() = Some(result);
+    *lock(&shared.promoted) = Some(result);
     shared.promoted_cond.notify_all();
 }
 
@@ -320,6 +318,7 @@ fn publish(shared: &Arc<Shared>, result: io::Result<Coordinator>) {
 mod tests {
     use super::*;
     use crate::proto::ParentAddr;
+    use std::time::Instant;
 
     const T: Duration = Duration::from_secs(2);
 

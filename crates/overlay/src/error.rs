@@ -28,12 +28,15 @@ pub enum OverlayError {
     /// A congestion restore was requested but the node already holds all
     /// `k` threads.
     NoThreadToRestore(NodeId),
-    /// A re-admission (resync) was requested for a node that is already a
-    /// member.
+    /// A row (a resync re-admission, a snapshot row) was offered for a node
+    /// that is already a member.
     AlreadyMember(NodeId),
-    /// A re-admission carried an unusable thread set (empty, duplicated,
-    /// or out of range).
+    /// A row (a resync re-admission, a snapshot row) carried an unusable
+    /// thread set (empty, duplicated, or out of range).
     InvalidThreads(NodeId),
+    /// An id or counter is too large for the JSON integers a snapshot
+    /// document carries (`i64::MAX`).
+    IdOutOfRange(u64),
 }
 
 impl fmt::Display for OverlayError {
@@ -52,6 +55,9 @@ impl fmt::Display for OverlayError {
             OverlayError::AlreadyMember(n) => write!(f, "node {n} is already a member"),
             OverlayError::InvalidThreads(n) => {
                 write!(f, "node {n} reported an unusable thread set")
+            }
+            OverlayError::IdOutOfRange(v) => {
+                write!(f, "{v} does not fit a snapshot's JSON integer")
             }
         }
     }

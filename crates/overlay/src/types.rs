@@ -2,12 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a client node. Never reused within one network's lifetime.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u64);
 
 impl fmt::Display for NodeId {
@@ -21,7 +17,7 @@ pub type ThreadId = u16;
 
 /// Who currently holds the upper end of an edge: the server (curtain rod) or
 /// a client node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Holder {
     /// The server itself (the thread has no holder above this point).
     Server,
@@ -54,7 +50,7 @@ impl fmt::Display for Holder {
 /// The paper's analysis (§4) tags each row: a node "joins as a failed node
 /// with probability p" — the tag models a node that fails within the repair
 /// interval. Failed nodes absorb their incoming streams and forward nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NodeStatus {
     /// The node relays streams normally.
     #[default]
@@ -64,7 +60,7 @@ pub enum NodeStatus {
 }
 
 /// Where a new row is placed in `M` when a node joins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InsertPolicy {
     /// Append at the bottom — the basic §3 protocol ("newly arriving nodes
     /// clip the threads at the bottom").
@@ -82,7 +78,7 @@ pub enum InsertPolicy {
 /// the constructor enforces only the structural requirement `1 ≤ d ≤ k`
 /// so that degenerate baselines (chains, `d = 1`) can be built for the
 /// comparison experiments — theory experiments choose their own parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OverlayConfig {
     /// Number of server threads (columns of `M`).
     pub k: usize,

@@ -324,12 +324,6 @@ impl<const N: usize> From<[u8; N]> for PacketBuf {
     }
 }
 
-impl From<bytes::Bytes> for PacketBuf {
-    fn from(v: bytes::Bytes) -> Self {
-        Self::from_vec(v.to_vec())
-    }
-}
-
 impl From<PacketBufMut> for PacketBuf {
     fn from(v: PacketBufMut) -> Self {
         v.freeze()
@@ -539,7 +533,7 @@ mod tests {
 
     #[test]
     fn from_bytes_and_empty() {
-        let b: PacketBuf = bytes::Bytes::from(vec![5u8, 6]).into();
+        let b: PacketBuf = (&[5u8, 6][..]).into();
         assert_eq!(b.as_slice(), &[5, 6]);
         assert!(PacketBuf::empty().is_empty());
         assert_eq!(PacketBuf::empty(), PacketBuf::from_vec(Vec::new()));

@@ -305,7 +305,8 @@ impl ClassPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
     #[test]
     fn empty_generation_rejected() {
@@ -386,43 +387,47 @@ mod tests {
         assert_eq!(plan.classes_covering(7), 0..1);
     }
 
-    proptest! {
-        #[test]
-        fn class_plan_covering_agrees_with_span(
-            total in 1usize..200,
-            g in 1usize..12,
-            overlap_frac in 0usize..12,
-        ) {
-            let overlap = overlap_frac % g;
+    #[test]
+    fn class_plan_covering_agrees_with_span() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..256 {
+            let total = rng.random_range(1usize..200);
+            let g = rng.random_range(1usize..12);
+            let overlap = rng.random_range(0usize..12) % g;
             let plan = ClassPlan::new(total, g, overlap);
-            prop_assert!(plan.padded_packets() >= total);
+            assert!(plan.padded_packets() >= total);
             for idx in 0..plan.padded_packets() {
                 let covering = plan.classes_covering(idx);
-                prop_assert!(!covering.is_empty(), "packet {} uncovered", idx);
+                assert!(!covering.is_empty(), "packet {idx} uncovered");
                 for c in 0..plan.class_count() {
-                    prop_assert_eq!(
+                    assert_eq!(
                         covering.contains(&c),
                         plan.span(c).contains(&idx),
-                        "plan {:?} packet {} class {}", plan, idx, c
+                        "plan {plan:?} packet {idx} class {c}"
                     );
                 }
             }
         }
+    }
 
-        #[test]
-        fn split_reassemble_round_trip(
-            data in proptest::collection::vec(any::<u8>(), 0..500),
-            g in 1usize..6,
-            s in 1usize..20,
-        ) {
-            let c = Content::split(&data, g, s);
+    #[test]
+    fn split_reassemble_round_trip() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..256 {
+            let data: Vec<u8> = (0..rng.random_range(0..500)).map(|_| rng.random()).collect();
+            let c = Content::split(&data, rng.random_range(1usize..6), rng.random_range(1usize..20));
             let decoded: Vec<Vec<Vec<u8>>> =
                 c.generations().iter().map(|gen| gen.packets().to_vec()).collect();
-            prop_assert_eq!(c.reassemble(decoded), data);
+            assert_eq!(c.reassemble(decoded), data);
         }
+    }
 
-        #[test]
-        fn padding_is_zero(data in proptest::collection::vec(1u8.., 1..64)) {
+    #[test]
+    fn padding_is_zero() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..256 {
+            let data: Vec<u8> =
+                (0..rng.random_range(1..64)).map(|_| rng.random_range(1u8..=255)).collect();
             let c = Content::split(&data, 4, 8);
             let total: usize = 4 * 8 * c.generations().len();
             let flat: Vec<u8> = c
@@ -430,10 +435,10 @@ mod tests {
                 .iter()
                 .flat_map(|g| g.packets().iter().flatten().copied())
                 .collect();
-            prop_assert_eq!(flat.len(), total);
+            assert_eq!(flat.len(), total);
             for (i, &b) in flat.iter().enumerate() {
                 if i >= data.len() {
-                    prop_assert_eq!(b, 0, "padding byte {} non-zero", i);
+                    assert_eq!(b, 0, "padding byte {i} non-zero");
                 }
             }
         }

@@ -1,7 +1,5 @@
 //! The coded packet: coefficient vector + payload, with a wire format.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::buffer::{BufPool, PacketBuf};
 use crate::error::RlncError;
 use crate::generation::GenerationId;
@@ -36,7 +34,7 @@ pub struct CodedPacket {
 
 impl CodedPacket {
     /// Assembles a packet from parts. Accepts anything convertible to a
-    /// [`PacketBuf`] (`Vec<u8>`, slices, `Bytes`, pooled buffers), so
+    /// [`PacketBuf`] (`Vec<u8>`, slices, arrays, pooled buffers), so
     /// existing call sites keep working while hot paths hand over buffers
     /// without copying.
     #[must_use]
@@ -101,14 +99,10 @@ impl CodedPacket {
     /// Serializes to the wire format:
     /// `[generation: u32 LE][g: u16 LE][payload_len: u32 LE][coeffs][payload]`.
     #[must_use]
-    pub fn to_wire(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u32_le(self.generation);
-        buf.put_u16_le(self.coefficients.len() as u16);
-        buf.put_u32_le(self.payload.len() as u32);
-        buf.put_slice(&self.coefficients);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+    pub fn to_wire(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.to_wire_into(&mut out);
+        out
     }
 
     /// Appends the wire format to `out` without any intermediate
@@ -153,14 +147,14 @@ impl CodedPacket {
     }
 
     /// Validates the header and body length; returns `(generation, g)`.
-    fn parse_header(mut buf: &[u8]) -> Result<(GenerationId, usize), RlncError> {
-        if buf.len() < 10 {
+    fn parse_header(buf: &[u8]) -> Result<(GenerationId, usize), RlncError> {
+        let [g0, g1, g2, g3, n0, n1, p0, p1, p2, p3, body @ ..] = buf else {
             return Err(RlncError::MalformedWirePacket("header truncated"));
-        }
-        let generation = buf.get_u32_le();
-        let g = buf.get_u16_le() as usize;
-        let payload_len = buf.get_u32_le() as usize;
-        if buf.len() != g + payload_len {
+        };
+        let generation = u32::from_le_bytes([*g0, *g1, *g2, *g3]);
+        let g = u16::from_le_bytes([*n0, *n1]) as usize;
+        let payload_len = u32::from_le_bytes([*p0, *p1, *p2, *p3]) as usize;
+        if body.len() != g + payload_len {
             return Err(RlncError::MalformedWirePacket("body length mismatch"));
         }
         Ok((generation, g))
@@ -170,21 +164,22 @@ impl CodedPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
     #[test]
     fn vacuous_and_degree() {
-        let p = CodedPacket::new(0, vec![0, 0, 0], Bytes::from_static(b"xyz"));
+        let p = CodedPacket::new(0, vec![0, 0, 0], *b"xyz");
         assert!(p.is_vacuous());
         assert_eq!(p.degree(), 0);
-        let q = CodedPacket::new(0, vec![0, 5, 9], Bytes::from_static(b"xyz"));
+        let q = CodedPacket::new(0, vec![0, 5, 9], *b"xyz");
         assert!(!q.is_vacuous());
         assert_eq!(q.degree(), 2);
     }
 
     #[test]
     fn wire_round_trip() {
-        let p = CodedPacket::new(42, vec![1, 2, 3, 4], Bytes::from(vec![9u8; 100]));
+        let p = CodedPacket::new(42, vec![1, 2, 3, 4], vec![9u8; 100]);
         let wire = p.to_wire();
         assert_eq!(wire.len(), p.wire_len());
         assert_eq!(CodedPacket::from_wire(&wire).unwrap(), p);
@@ -228,8 +223,8 @@ mod tests {
 
     #[test]
     fn inconsistent_body_rejected() {
-        let p = CodedPacket::new(1, vec![1, 2], Bytes::from_static(b"abc"));
-        let mut wire = p.to_wire().to_vec();
+        let p = CodedPacket::new(1, vec![1, 2], *b"abc");
+        let mut wire = p.to_wire();
         wire.pop();
         assert_eq!(
             CodedPacket::from_wire(&wire).unwrap_err(),
@@ -237,34 +232,33 @@ mod tests {
         );
     }
 
-    proptest! {
-        #[test]
-        fn wire_round_trip_random(
-            generation: u32,
-            coeffs in proptest::collection::vec(any::<u8>(), 0..32),
-            payload in proptest::collection::vec(any::<u8>(), 0..256),
-        ) {
-            let p = CodedPacket::new(generation, coeffs, payload);
-            prop_assert_eq!(CodedPacket::from_wire(&p.to_wire()).unwrap(), p);
+    #[test]
+    fn wire_round_trip_random() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..256 {
+            let coeffs: Vec<u8> = (0..rng.random_range(0..32)).map(|_| rng.random()).collect();
+            let payload: Vec<u8> = (0..rng.random_range(0..256)).map(|_| rng.random()).collect();
+            let p = CodedPacket::new(rng.random(), coeffs, payload);
+            assert_eq!(CodedPacket::from_wire(&p.to_wire()).unwrap(), p);
         }
+    }
 
-        /// Round-trip through both parse paths plus truncation fuzzing: any
-        /// strict prefix of a valid frame must be rejected, never panic.
-        #[test]
-        fn wire_truncation_never_panics(
-            generation: u32,
-            coeffs in proptest::collection::vec(any::<u8>(), 0..16),
-            payload in proptest::collection::vec(any::<u8>(), 0..64),
-            cut in 0usize..80,
-        ) {
+    /// Round-trip through both parse paths plus truncation fuzzing: any
+    /// strict prefix of a valid frame must be rejected, never panic.
+    #[test]
+    fn wire_truncation_never_panics() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..256 {
+            let coeffs: Vec<u8> = (0..rng.random_range(0..16)).map(|_| rng.random()).collect();
+            let payload: Vec<u8> = (0..rng.random_range(0..64)).map(|_| rng.random()).collect();
             let pool = BufPool::default();
-            let p = CodedPacket::new(generation, coeffs, payload);
+            let p = CodedPacket::new(rng.random(), coeffs, payload);
             let wire = p.to_wire();
-            prop_assert_eq!(&CodedPacket::from_wire_pooled(&wire, &pool).unwrap(), &p);
-            let cut = cut.min(wire.len().saturating_sub(1));
+            assert_eq!(&CodedPacket::from_wire_pooled(&wire, &pool).unwrap(), &p);
+            let cut = rng.random_range(0usize..80).min(wire.len().saturating_sub(1));
             let truncated = &wire[..cut];
-            prop_assert!(CodedPacket::from_wire(truncated).is_err());
-            prop_assert!(CodedPacket::from_wire_pooled(truncated, &pool).is_err());
+            assert!(CodedPacket::from_wire(truncated).is_err());
+            assert!(CodedPacket::from_wire_pooled(truncated, &pool).is_err());
         }
     }
 }

@@ -196,7 +196,6 @@ impl ObjectDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
 
@@ -247,7 +246,7 @@ mod tests {
     fn unknown_generation_rejected() {
         let (_, c) = content(100, 4, 16, 5);
         let mut dec = ObjectDecoder::new(&c);
-        let p = CodedPacket::new(99, vec![1, 0, 0, 0], Bytes::from(vec![0u8; 16]));
+        let p = CodedPacket::new(99, vec![1, 0, 0, 0], vec![0u8; 16]);
         assert!(matches!(dec.push(p), Err(RlncError::GenerationMismatch { .. })));
     }
 

@@ -120,7 +120,8 @@ impl<T> std::fmt::Debug for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
     #[test]
     fn orders_by_time_then_fifo() {
@@ -147,28 +148,32 @@ mod tests {
         assert!(format!("{q:?}").contains("EventQueue"));
     }
 
-    proptest! {
-        #[test]
-        fn pops_in_nondecreasing_time_order(times in proptest::collection::vec(0u64..100, 1..50)) {
+    #[test]
+    fn pops_in_nondecreasing_time_order() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..256 {
             let mut q = EventQueue::new();
-            for &t in &times {
+            for _ in 0..rng.random_range(1..50) {
+                let t = rng.random_range(0u64..100);
                 q.push(SimTime::from_ticks(t), t);
             }
             let mut last = 0;
             while let Some((t, _)) = q.pop() {
-                prop_assert!(t.ticks() >= last);
+                assert!(t.ticks() >= last);
                 last = t.ticks();
             }
         }
+    }
 
-        #[test]
-        fn same_time_events_are_fifo(count in 1usize..30) {
+    #[test]
+    fn same_time_events_are_fifo() {
+        for count in 1usize..30 {
             let mut q = EventQueue::new();
             for i in 0..count {
                 q.push(SimTime::from_ticks(7), i);
             }
             let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-            prop_assert_eq!(order, (0..count).collect::<Vec<_>>());
+            assert_eq!(order, (0..count).collect::<Vec<_>>());
         }
     }
 }
