@@ -37,6 +37,7 @@ fn main() {
             reserve: 2,
             churn_rounds: 4,
             churn_frac: 0.05,
+            leave_frac: 0.0,
             loss: 0.01,
         };
         let mut defect = Vec::new();
@@ -74,6 +75,7 @@ fn main() {
         reserve: 2,
         churn_rounds: 2,
         churn_frac: 0.05,
+        leave_frac: 0.0,
         loss: 0.01,
     };
     for trial in 0..trials {

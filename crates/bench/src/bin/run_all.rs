@@ -24,6 +24,7 @@ const EXPERIMENTS: &[&str] = &[
     "e03_drift",
     "e04_collapse",
     "e05_adversarial",
+    "e06_dataplane",
     "e06_delay",
     "e07_strategies",
     "e08_variance",
@@ -35,9 +36,11 @@ const EXPERIMENTS: &[&str] = &[
     "e14_conjecture",
     "e15_gossip",
     "e16_selfsustain",
-    "e17_live_churn",
     "e18_streaming",
     "e19_fairness",
+    "e20_generations",
+    "e21_control_plane",
+    "e22_vnet_scale",
 ];
 
 /// Experiments accepting a `--trace <path>` flag.
@@ -142,5 +145,27 @@ fn main() {
     } else {
         eprintln!("failures: {failed:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    /// `EXPERIMENTS` and `src/bin` name the same binaries (minus this
+    /// one), so a deleted or added experiment cannot be missed.
+    #[test]
+    fn experiments_list_matches_the_bin_directory() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+            .expect("src/bin is readable")
+            .filter_map(|entry| {
+                let name = entry.expect("dir entry").file_name().into_string().ok()?;
+                name.strip_suffix(".rs").map(str::to_owned)
+            })
+            .filter(|name| name != "run_all")
+            .collect();
+        on_disk.sort();
+        assert_eq!(EXPERIMENTS, on_disk, "run_all's list (left) vs {}", dir.display());
     }
 }

@@ -26,6 +26,7 @@ fn churn_soak_at_scale_heals_and_journals() {
         reserve: 2,
         churn_rounds: 4,
         churn_frac: 0.05,
+        leave_frac: 0.0,
         loss: 0.01,
     };
     let (out, journal) = churn_soak_with_journal(&params, seed);

@@ -1,10 +1,14 @@
-//! End-to-end broadcast sessions over the curtain overlay.
+//! Static-topology broadcast sessions over the curtain overlay — the
+//! *model* layer the strategy, attack, heterogeneity and streaming
+//! experiments (e06_delay, e07, e11, e12, e16, e18, e19) run on.
 //!
-//! This crate wires the three lower layers together: an overlay topology
-//! (`curtain-overlay`), the deterministic network simulator
-//! (`curtain-simnet`), and the RLNC codec (`curtain-rlnc`) — and adds the
-//! *baseline* distribution strategies the paper's introduction compares
-//! against:
+//! This crate wires the three lower layers together: a *snapshot* of an
+//! overlay topology (`curtain-overlay`), the tick-stepped network
+//! simulator (`curtain-simnet`), and the RLNC codec (`curtain-rlnc`) —
+//! and adds the *baseline* distribution strategies the paper's
+//! introduction compares against. Nothing here joins, leaves, fails or
+//! repairs mid-run: a curtain that churns is the shipped protocol on
+//! `curtain_net::transport::vnet`.
 //!
 //! | [`Strategy`] | Who codes? | Failure behaviour |
 //! |--------------|-----------|-------------------|
@@ -21,10 +25,10 @@
 //! per node via [`attacks::AttackMode`]; §5 heterogeneity (mixed node
 //! degrees, priority-encoded layers) lives in [`heterogeneous`].
 //!
-//! The RLNC data plane is pluggable: [`SessionConfig::with_codec`] and
-//! [`StreamConfig::with_codec`] swap in any `curtain-codec` backend
+//! Deadline streaming ([`StreamSession`]) has a pluggable data plane:
+//! [`StreamConfig::with_codec`] swaps in any `curtain-codec` backend
 //! ([`CodecKind::Rlnc`], [`CodecKind::Overlap`], [`CodecKind::Window`])
-//! behind the same session and stream reports.
+//! behind the same stream report.
 //!
 //! # Example
 //!
@@ -48,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod attacks;
-pub mod dynamic;
 pub mod heterogeneous;
 mod metrics;
 mod peer;
@@ -57,7 +60,6 @@ pub mod stream;
 mod topology;
 
 pub use curtain_codec::{BroadcastCodec, CodecConfig, CodecKind, CodecProgress};
-pub use dynamic::{DynamicConfig, DynamicReport, DynamicSession};
 pub use metrics::SessionReport;
 pub use session::{Session, SessionConfig, Strategy};
 pub use stream::{StreamConfig, StreamReport, StreamSession, ViewerReport};

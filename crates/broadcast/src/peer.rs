@@ -1,20 +1,10 @@
 //! The per-host actor: server and client behaviour for every strategy.
 
-use curtain_codec::BroadcastCodec;
 use curtain_rlnc::{CodedPacket, Encoder, PacketBuf, Recoder};
 use curtain_simnet::{Actor, Context, HostId, LinkId};
 use rand::RngExt as _;
 
 use crate::attacks::AttackMode;
-
-/// A boxed codec endpoint with a `Debug` impl (trait objects have none).
-pub(crate) struct CodecBox(pub Box<dyn BroadcastCodec>);
-
-impl std::fmt::Debug for CodecBox {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("CodecBox").field(&self.0.kind()).finish()
-    }
-}
 
 /// Wire messages exchanged during a session.
 #[derive(Debug, Clone)]
@@ -62,10 +52,6 @@ pub(crate) enum ServerRole {
     Rlnc {
         encoder: Encoder,
     },
-    /// A pluggable `curtain-codec` backend drives the source.
-    Codec {
-        codec: CodecBox,
-    },
     Routing {
         chunks: Vec<PacketBuf>,
     },
@@ -82,10 +68,6 @@ pub(crate) enum ClientRole {
         recoder: Recoder,
         /// Entropy destroyer's pinned packet.
         pinned: Option<CodedPacket>,
-    },
-    /// A pluggable `curtain-codec` backend drives decode and recode.
-    Codec {
-        codec: CodecBox,
     },
     Routing {
         chunks: Vec<Option<PacketBuf>>,
@@ -134,10 +116,6 @@ impl Peer {
             Role::Client(ClientRole::Rlnc { recoder, .. }) => {
                 recoder.rank() as f64 / self.gen_size as f64
             }
-            Role::Client(ClientRole::Codec { codec }) => {
-                let p = codec.0.progress();
-                p.rank as f64 / p.total_packets.max(1) as f64
-            }
             Role::Client(ClientRole::Routing { have, .. }) => {
                 *have as f64 / self.gen_size as f64
             }
@@ -155,7 +133,6 @@ impl Peer {
         match &self.role {
             Role::Server(_) => true,
             Role::Client(ClientRole::Rlnc { recoder, .. }) => recoder.is_complete(),
-            Role::Client(ClientRole::Codec { codec }) => codec.0.is_complete(),
             Role::Client(ClientRole::Routing { have, .. }) => *have == self.gen_size,
             Role::Client(ClientRole::Erasure { shares, stripes_done, .. }) => {
                 *stripes_done == shares.len()
@@ -179,12 +156,6 @@ impl Peer {
                     let p = encoder.encode(ctx.rng());
                     self.sent_packets += 1;
                     ctx.send(out.link, Msg::Coded(p));
-                }
-                Role::Server(ServerRole::Codec { codec }) => {
-                    if let Some(p) = codec.0.encode(ctx.rng()) {
-                        self.sent_packets += 1;
-                        ctx.send(out.link, Msg::Coded(p));
-                    }
                 }
                 Role::Server(ServerRole::Routing { chunks }) => {
                     // Stagger links so they cover different chunks first.
@@ -244,12 +215,6 @@ impl Peer {
             match &mut self.role {
                 Role::Client(ClientRole::Rlnc { recoder, .. }) => {
                     if let Some(p) = recoder.recode(ctx.rng()) {
-                        self.sent_packets += 1;
-                        ctx.send(out.link, Msg::Coded(p));
-                    }
-                }
-                Role::Client(ClientRole::Codec { codec }) => {
-                    if let Some(p) = codec.0.recode(ctx.rng()) {
                         self.sent_packets += 1;
                         ctx.send(out.link, Msg::Coded(p));
                     }
@@ -321,12 +286,6 @@ impl Actor<Msg> for Peer {
                     *pinned = Some(p.clone());
                 }
                 let _ = recoder.push(p); // malformed packets are dropped
-            }
-            (Role::Client(ClientRole::Codec { codec }), Msg::Coded(p)) => {
-                if self.attack == AttackMode::Jamming {
-                    return;
-                }
-                let _ = codec.0.ingest(p); // malformed packets are dropped
             }
             (Role::Client(ClientRole::Routing { chunks, have }), Msg::Chunk { index, data }) => {
                 let slot = &mut chunks[index as usize];

@@ -1,6 +1,5 @@
 //! Session driver: topology × strategy × simulated network → report.
 
-use curtain_codec::{CodecConfig, CodecKind};
 use curtain_gf::ReedSolomon;
 use curtain_rlnc::{BufPool, Encoder, PacketBuf, Recoder};
 use curtain_simnet::{HostId, LinkConfig, World};
@@ -10,7 +9,7 @@ use rand::{RngExt as _, SeedableRng};
 
 use crate::attacks::AttackMode;
 use crate::metrics::SessionReport;
-use crate::peer::{ClientRole, CodecBox, Msg, OutLink, Peer, Role, ServerRole};
+use crate::peer::{ClientRole, Msg, OutLink, Peer, Role, ServerRole};
 use crate::topology::{Endpoint, TopologySpec};
 
 /// Content distribution strategy (see crate docs for the comparison).
@@ -51,11 +50,6 @@ pub struct SessionConfig {
     /// "self-sustaining" scenario where the source disconnects after
     /// seeding and the swarm must finish from its collective buffers.
     pub server_departs_at: Option<u64>,
-    /// If set, the [`Strategy::Rlnc`] data plane is replaced by this
-    /// `curtain-codec` backend (overlapping classes, sliding window, or
-    /// the whole-object pipeline behind the trait). The codec's
-    /// `packet_len` must match the session's.
-    pub codec: Option<CodecConfig>,
 }
 
 impl SessionConfig {
@@ -80,20 +74,7 @@ impl SessionConfig {
             erasure_stripe: None,
             jitter: 0,
             server_departs_at: None,
-            codec: None,
         }
-    }
-
-    /// Swaps the RLNC data plane for a pluggable `curtain-codec` backend.
-    ///
-    /// Only meaningful with [`Strategy::Rlnc`]; the session asserts this
-    /// at run time. Window-kind codecs are clamped to cover the whole
-    /// object (the session network has no feedback channel to clock the
-    /// window forward).
-    #[must_use]
-    pub fn with_codec(mut self, codec: CodecConfig) -> Self {
-        self.codec = Some(codec);
-        self
     }
 
     /// Sets the maximum per-packet jitter.
@@ -196,21 +177,6 @@ impl Session {
         recorder: SharedRecorder,
     ) -> SessionReport {
         topo.assert_invariants();
-        // Resolve the pluggable codec up front: it replaces the RLNC data
-        // plane and needs no feedback channel, so window-kind backends are
-        // widened to span the whole object.
-        let codec_cfg = cfg.codec.map(|mut c| {
-            assert_eq!(
-                cfg.strategy,
-                Strategy::Rlnc,
-                "a codec backend replaces the RLNC data plane only"
-            );
-            assert_eq!(c.packet_len, cfg.packet_len, "codec packet_len must match session");
-            if c.kind == CodecKind::Window && c.window < cfg.total_chunks {
-                c = c.with_window(cfg.total_chunks);
-            }
-            c
-        });
         // Deterministic content, distinct from the world RNG stream.
         let mut content_rng = StdRng::seed_from_u64(seed ^ 0x5eed_c0de_u64);
         let content: Vec<Vec<u8>> = (0..cfg.total_chunks)
@@ -256,14 +222,9 @@ impl Session {
         world.set_recorder(recorder.clone());
         world.set_message_sizer(Msg::wire_size);
         let server_role = match cfg.strategy {
-            Strategy::Rlnc => match &codec_cfg {
-                Some(ccfg) => Role::Server(ServerRole::Codec {
-                    codec: CodecBox(ccfg.source(&content.concat())),
-                }),
-                None => Role::Server(ServerRole::Rlnc {
-                    encoder: Encoder::new(0, content.clone()).expect("non-empty content"),
-                }),
-            },
+            Strategy::Rlnc => Role::Server(ServerRole::Rlnc {
+                encoder: Encoder::new(0, content.clone()).expect("non-empty content"),
+            }),
             Strategy::Routing => Role::Server(ServerRole::Routing {
                 chunks: content.iter().cloned().map(PacketBuf::from).collect(),
             }),
@@ -286,29 +247,20 @@ impl Session {
         let in_degrees = topo.in_degrees();
         for i in 0..topo.nodes {
             let role = match cfg.strategy {
-                Strategy::Rlnc => match &codec_cfg {
-                    Some(ccfg) => {
-                        let mut codec = ccfg.sink(cfg.total_chunks * cfg.packet_len);
-                        if recorder.is_enabled() {
-                            codec.set_telemetry(recorder.clone(), i as u64 + 1);
-                        }
-                        Role::Client(ClientRole::Codec { codec: CodecBox(codec) })
+                Strategy::Rlnc => {
+                    // Per-client pool: recoder row traffic recycles
+                    // instead of allocating per packet.
+                    let mut recoder = Recoder::with_pool(
+                        0,
+                        cfg.total_chunks,
+                        cfg.packet_len,
+                        BufPool::default(),
+                    );
+                    if recorder.is_enabled() {
+                        recoder.set_telemetry(recorder.clone(), i as u64 + 1);
                     }
-                    None => {
-                        // Per-client pool: recoder row traffic recycles
-                        // instead of allocating per packet.
-                        let mut recoder = Recoder::with_pool(
-                            0,
-                            cfg.total_chunks,
-                            cfg.packet_len,
-                            BufPool::default(),
-                        );
-                        if recorder.is_enabled() {
-                            recoder.set_telemetry(recorder.clone(), i as u64 + 1);
-                        }
-                        Role::Client(ClientRole::Rlnc { recoder, pinned: None })
-                    }
-                },
+                    Role::Client(ClientRole::Rlnc { recoder, pinned: None })
+                }
                 Strategy::Routing => Role::Client(ClientRole::Routing {
                     chunks: vec![None; cfg.total_chunks],
                     have: 0,
@@ -437,9 +389,6 @@ fn content_matches(
             Some(got) => got == content,
             None => false,
         },
-        Role::Client(ClientRole::Codec { codec }) => {
-            codec.0.decoded().is_some_and(|got| got == content.concat())
-        }
         Role::Client(ClientRole::Routing { chunks, .. }) => chunks
             .iter()
             .zip(content)
@@ -494,33 +443,6 @@ mod tests {
         assert_eq!(report.completion_fraction(), 1.0);
         assert_eq!(report.corruption_fraction(), 0.0);
         assert!(report.mean_completion_tick().unwrap() >= 16.0 / 2.0);
-    }
-
-    #[test]
-    fn codec_backends_complete_sessions_uncorrupted() {
-        let topo = curtain(8, 2, 25, 1);
-        for kind in [CodecKind::Rlnc, CodecKind::Overlap, CodecKind::Window] {
-            let cfg = SessionConfig::new(Strategy::Rlnc, 16, 32)
-                .with_codec(CodecConfig::new(kind, 8, 32))
-                .with_max_ticks(3000);
-            let report = Session::run(&topo, &cfg, 42);
-            assert_eq!(report.completion_fraction(), 1.0, "{kind} should finish");
-            assert_eq!(report.corruption_fraction(), 0.0, "{kind} should decode cleanly");
-        }
-    }
-
-    #[test]
-    fn codec_backends_survive_loss() {
-        let topo = curtain(8, 3, 15, 8);
-        for kind in [CodecKind::Rlnc, CodecKind::Overlap, CodecKind::Window] {
-            let cfg = SessionConfig::new(Strategy::Rlnc, 12, 16)
-                .with_codec(CodecConfig::new(kind, 6, 16))
-                .with_loss(0.2)
-                .with_max_ticks(6000);
-            let report = Session::run(&topo, &cfg, 9);
-            assert_eq!(report.completion_fraction(), 1.0, "{kind} under loss");
-            assert_eq!(report.corruption_fraction(), 0.0);
-        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!
 //! All three speak [`CodedPacket`] on the wire, recode at intermediate
 //! nodes, and report uniform [`CodecProgress`], so `crates/broadcast` can
-//! swap them per session (`SessionConfig::with_codec`,
-//! `StreamConfig::with_codec`).
+//! swap them per stream (`StreamConfig::with_codec`).
 //!
 //! # Example
 //!

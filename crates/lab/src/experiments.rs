@@ -31,8 +31,10 @@
 //!   sans-io protocol over the virtual network, at `N` up to 1000.
 //!   The steady-state defect probability must stay in one narrow band
 //!   across `N` (Theorem 4's N-independence), every defect must heal
-//!   with zero repair give-ups, and the same `(params, seed)` cell must
-//!   replay with a byte-identical event journal.
+//!   with zero repair give-ups — at every `N` and, at fixed `N`, at
+//!   every churn level from none to ten times the base rate with half
+//!   the departures saying good-bye — and the same `(params, seed)`
+//!   cell must replay with a byte-identical event journal.
 //!
 //! Profile knobs: `--scale` multiplies sample counts (and is part of the
 //! cache key, as it should be — more samples is a different measurement);
@@ -1044,6 +1046,21 @@ impl E22VnetScale {
             .with("loss", 0.01)
     }
 
+    /// The churn ladder at fixed `N`: ×0, ×1, ×4, ×10 of the base rate,
+    /// half the departures polite. Its own mode: the rungs must heal
+    /// like every soak, but sit outside the N-band and the 10 % ceiling,
+    /// which are statements about the base rate.
+    fn levels(n: usize, rounds: usize) -> impl Iterator<Item = Params> {
+        let ladder =
+            [("none", 0, 0.05), ("light", rounds, 0.05), ("heavy", rounds, 0.2), ("extreme", rounds, 0.5)];
+        ladder.into_iter().map(move |(level, rounds, frac)| {
+            Self::churn_point(n, rounds, frac)
+                .with("mode", "level")
+                .with("level", level)
+                .with("leave", 0.5)
+        })
+    }
+
     fn cell_params(params: &Params) -> e22::ChurnParams {
         e22::ChurnParams {
             peers: params.usize("n"),
@@ -1051,6 +1068,9 @@ impl E22VnetScale {
             reserve: params.usize("d"),
             churn_rounds: params.usize("rounds"),
             churn_frac: params.float("frac"),
+            // Absent on the N-axis points (all kills), so their cache
+            // keys are the ones they have always had.
+            leave_frac: params.get("leave").and_then(|v| v.as_f64()).unwrap_or(0.0),
             loss: params.float("loss"),
         }
     }
@@ -1086,25 +1106,29 @@ impl Sweep for E22VnetScale {
             // Smaller swarms need heavier churn for a reliable defect
             // signal: at 5% of 60 peers a round kills 3, and two rounds
             // can miss every in-transfer parent.
-            return ParamGrid::from_points(vec![
+            let mut points = vec![
                 Self::churn_point(60, 2, 0.1),
                 Self::churn_point(150, 2, 0.1),
                 Self::churn_point(60, 1, 0.1).with("mode", "determinism"),
-            ]);
+            ];
+            points.extend(Self::levels(60, 2));
+            return ParamGrid::from_points(points);
         }
-        ParamGrid::from_points(vec![
+        let mut points = vec![
             Self::churn_point(100, 4, 0.05),
             Self::churn_point(300, 4, 0.05),
             Self::churn_point(1000, 4, 0.05),
             Self::churn_point(100, 2, 0.05).with("mode", "determinism"),
-        ])
+        ];
+        points.extend(Self::levels(100, 4));
+        ParamGrid::from_points(points)
     }
 
     fn run(&self, params: &Params, seed: u64) -> Measurement {
         match params.str("mode") {
-            "churn" => {
+            mode @ ("churn" | "level") => {
                 let out = e22::churn_soak(&Self::cell_params(params), seed);
-                Measurement::new()
+                let measured = Measurement::new()
                     .with("defect_p", out.defect_p)
                     .with("repairs", out.repairs as f64)
                     .with("resyncs", out.resyncs as f64)
@@ -1112,7 +1136,15 @@ impl Sweep for E22VnetScale {
                     .with("frames_lost", out.frames_lost as f64)
                     .with("all_complete", if out.all_complete { 1.0 } else { 0.0 })
                     .with("completed", out.completed as f64)
-                    .with("virtual_ms", out.virtual_ms)
+                    .with("virtual_ms", out.virtual_ms);
+                if mode == "level" {
+                    measured
+                        .with("joins", (out.leaves + out.kills) as f64)
+                        .with("leaves", out.leaves as f64)
+                        .with("kills", out.kills as f64)
+                } else {
+                    measured
+                }
             }
             "determinism" => {
                 let identical = e22::replay_identical(&Self::cell_params(params), seed);
@@ -1163,7 +1195,9 @@ impl Sweep for E22VnetScale {
                     let mut pooled_defect = 0.0;
                     let mut pooled_repairs = 0.0;
                     for pt in points {
-                        if pt.params.get("mode").and_then(|v| v.as_str()) != Some("churn") {
+                        // Soaks on either axis: N, or churn level.
+                        let mode = pt.params.get("mode").and_then(|v| v.as_str());
+                        if !matches!(mode, Some("churn" | "level")) {
                             continue;
                         }
                         churn += 1;
@@ -1188,6 +1222,12 @@ impl Sweep for E22VnetScale {
                         return Err(format!(
                             "churn left no trace: pooled defect {pooled_defect:.5}, repairs {pooled_repairs:.1}"
                         ));
+                    }
+                    // Only churn-level points report `leaves`.
+                    let leaves: Vec<f64> =
+                        points.iter().filter_map(|pt| pt.mean("leaves")).collect();
+                    if !leaves.is_empty() && leaves.iter().sum::<f64>() <= 0.0 {
+                        return Err("the churn levels never said good-bye".to_owned());
                     }
                     Ok(format!(
                         "{churn} churn points: every defect healed, zero give-ups, all swarms complete"

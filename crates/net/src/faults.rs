@@ -134,7 +134,9 @@ impl FaultProxy {
         }
     }
 
-    /// Total bytes forwarded (both directions, across all connections).
+    /// Total bytes accepted for forwarding (both directions, across all
+    /// connections): a chunk is counted just before it is written on,
+    /// so a reader downstream never observes bytes this has not counted.
     #[must_use]
     pub fn forwarded_bytes(&self) -> u64 {
         self.shared.forwarded.load(Ordering::SeqCst)
@@ -268,10 +270,12 @@ fn pump(shared: &ProxyShared, mut from: &TcpStream, mut to: &TcpStream, epoch: u
                     }
                     _ => {}
                 }
+                // Account before the write: whoever sees these bytes
+                // downstream must already find them counted.
+                shared.forwarded.fetch_add(n as u64, Ordering::SeqCst);
                 if to.write_all(&buf[..n]).is_err() || to.flush().is_err() {
                     return;
                 }
-                shared.forwarded.fetch_add(n as u64, Ordering::SeqCst);
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock

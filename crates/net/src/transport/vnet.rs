@@ -20,8 +20,10 @@
 //! produce byte-identical journals — the property the `vnet-scale` CI
 //! job and the `e22` lab sweep diff on.
 //!
-//! Faults are first-class: [`World::kill_peer`] is a crash (no
-//! goodbye — children must detect the stall and repair through the
+//! Departures and faults are first-class: [`World::leave_peer`] is the
+//! good-bye (the coordinator splices parents to children before the
+//! streams close), [`World::kill_peer`] is a crash (no goodbye —
+//! children must detect the stall and repair through the
 //! coordinator), [`World::cut_link`] severs one directed edge while
 //! both ends stay up, and [`World::coordinator_amnesia`] swaps in a
 //! fresh [`ControlCore`] that has never heard of anyone, exercising the
@@ -99,11 +101,11 @@ impl Default for LinkProfile {
 impl LinkProfile {
     /// Total virtual delay for a frame of `bytes` on this link.
     fn delay_us(&self, bytes: usize) -> u64 {
-        let serialize = if self.bandwidth_bps == 0 {
-            0
-        } else {
-            (bytes as u64).saturating_mul(1_000_000) / self.bandwidth_bps
-        };
+        // `0` = infinite bandwidth: no serialization delay.
+        let serialize = (bytes as u64)
+            .saturating_mul(1_000_000)
+            .checked_div(self.bandwidth_bps)
+            .unwrap_or(0);
         self.latency_us.saturating_add(serialize)
     }
 }
@@ -573,11 +575,30 @@ impl World {
     /// Children detect the stall and repair through the coordinator;
     /// the coordinator learns of the death from their complaints.
     pub fn kill_peer(&mut self, node: NodeId) {
+        self.depart(node, "kill");
+    }
+
+    /// A peer leaves politely: its good-bye splices its parents to its
+    /// children in `M` (a crashed coordinator hears nothing, as over
+    /// TCP), then its streams close like a crash's do. Children still
+    /// notice by stall; their complaint names a node `M` no longer
+    /// holds, so the reply is the parent the good-bye already wired.
+    pub fn leave_peer(&mut self, node: NodeId) {
+        if self.node_to_addr.contains_key(&node) {
+            let _ = self.control_dispatch(CtrlRequest::Goodbye { node });
+            self.depart(node, "leave");
+        }
+    }
+
+    /// Takes a peer out of the world, however it went (`how` is the
+    /// journal verb): closes its books and starts its children's defect
+    /// clocks.
+    fn depart(&mut self, node: NodeId, how: &str) {
         let Some(addr) = self.node_to_addr.remove(&node) else { return };
         let Some(actor) = self.peers.remove(&addr) else { return };
         let now = self.clock_us;
         // Close the actor's own books: alive time for every link up to
-        // completion (or death), plus any defect still open.
+        // completion (or departure), plus any defect still open.
         let until = actor.served_until(now);
         for link in actor.links.values() {
             self.alive_us_closed += until - actor.joined_at_us;
@@ -586,8 +607,8 @@ impl World {
             }
         }
         self.dead.insert(addr);
-        // Incomplete children subscribed to the corpse start their
-        // defect clock at the moment of death, even though they only
+        // Incomplete children subscribed to the departed start their
+        // defect clock at the moment it went, even though they only
         // notice at the next stall check.
         for peer in self.peers.values_mut() {
             if peer.completed_at_us.is_some() {
@@ -599,7 +620,7 @@ impl World {
                 }
             }
         }
-        self.journal.push(format!("t={now} kill node={node} addr={addr}"));
+        self.journal.push(format!("t={now} {how} node={node} addr={addr}"));
     }
 
     /// Dispatches one control request; `None` while the coordinator is
@@ -1091,6 +1112,49 @@ mod tests {
         (World::new(seed, cfg, &content), content)
     }
 
+    /// A transfer long enough (8 generations: ~240 ms on one surviving
+    /// thread against a 100 ms stall timeout) that an orphan's stall
+    /// timer beats its own completion.
+    fn long_world(seed: u64) -> (World, Vec<u8>) {
+        let cfg = VnetConfig {
+            overlay: OverlayConfig::new(4, 2),
+            generations: 8,
+            generation_size: 16,
+            ..VnetConfig::default()
+        };
+        let content = pattern(cfg.generations * cfg.generation_size * cfg.packet_len);
+        (World::new(seed, cfg, &content), content)
+    }
+
+    /// Every survivor decoded `content` byte for byte.
+    fn assert_survivors_decoded(world: &World, content: &[u8], context: &str) {
+        for (node, _) in world.alive_nodes() {
+            assert_eq!(world.decoded_content(node).as_deref(), Some(content), "{context}");
+        }
+    }
+
+    /// The north star's "`M` mirrors live subscriptions": every quiesced
+    /// upstream link of a peer still in transfer names the parent the
+    /// coordinator's matrix names. Returns how many links were checked.
+    fn assert_links_mirror_the_matrix(world: &mut World, context: &str) -> usize {
+        let live: Vec<(NodeId, ThreadId, CtrlParent<VAddr>)> = world
+            .peers
+            .values()
+            .filter(|p| p.completed_at_us.is_none())
+            .flat_map(|p| p.links.iter().map(move |(t, l)| (p.node, *t, l)))
+            .filter(|(_, _, l)| !l.dead && l.defect_since.is_none())
+            .map(|(node, thread, l)| (node, thread, l.parent))
+            .collect();
+        for (node, thread, parent) in &live {
+            assert_eq!(
+                world.control.current_parent(*node, *thread),
+                Ok(*parent),
+                "{context}: node {node} thread {thread}"
+            );
+        }
+        live.len()
+    }
+
     #[test]
     fn a_small_swarm_completes_and_decodes_exactly() {
         let (mut world, content) = small_world(11);
@@ -1104,23 +1168,15 @@ mod tests {
 
     /// Whether one orphan's stall timer beats its own completion depends
     /// on the coefficient stream, so "a repair ran" is stated over a seed
-    /// range, on a transfer long enough (8 generations: ~240 ms on the one
-    /// surviving thread against a 100 ms stall timeout) that it is the
-    /// scenario's property and not one stream's luck: every world must
-    /// heal — complete, nothing gave up, bytes identical — and over the
-    /// range repairs must have run and their defect time been measured.
+    /// range, on a [`long_world`] so that it is the scenario's property
+    /// and not one stream's luck: every world must heal — complete,
+    /// nothing gave up, bytes identical — and over the range repairs must
+    /// have run and their defect time been measured.
     #[test]
     fn killing_a_parent_heals_through_repair() {
         let (mut repairs, mut defect_us) = (0, 0);
         for seed in 0..8 {
-            let cfg = VnetConfig {
-                overlay: OverlayConfig::new(4, 2),
-                generations: 8,
-                generation_size: 16,
-                ..VnetConfig::default()
-            };
-            let content = pattern(cfg.generations * cfg.generation_size * cfg.packet_len);
-            let mut world = World::new(seed, cfg, &content);
+            let (mut world, content) = long_world(seed);
             let all: Vec<NodeId> = (0..8).map(|_| world.join_peer()).collect();
             world.run_for(10_000);
             // Kill a peer that is really someone's parent, mid-transfer.
@@ -1143,6 +1199,101 @@ mod tests {
         }
         assert!(repairs > 0, "no repair episode ran in any world");
         assert!(defect_us > 0, "the orphans' defect time was never measured");
+    }
+
+    #[test]
+    fn a_latecomer_joins_after_the_first_wave_and_decodes_exactly() {
+        let (mut world, content) = small_world(13);
+        for _ in 0..8 {
+            world.join_peer();
+        }
+        assert!(world.run_until_all_complete(60_000_000), "{world:?}");
+        assert_eq!(world.complete(), world.alive());
+        // Everyone it can subscribe to finished long ago: the object is
+        // served from complete peers' buffers, not from a live wave.
+        let late = world.join_peer();
+        assert_eq!(world.complete() + 1, world.alive());
+        assert!(world.run_until_all_complete(120_000_000), "{world:?}");
+        assert_eq!(world.decoded_content(late).as_deref(), Some(&content[..]));
+        assert_eq!(world.stats().completed, 9);
+    }
+
+    /// The good-bye on the shipped protocol (PAPER.md L1's splice): the
+    /// coordinator wires the leaver's parents to its children at once,
+    /// the children find out by stall, and their complaint — naming a
+    /// node `M` no longer holds — is answered with that parent. Stated
+    /// over a seed range like the kill test, for the same reason.
+    #[test]
+    fn a_graceful_leave_mid_transfer_strands_no_child() {
+        let (mut rewired, mut mirrored) = (0, 0);
+        for seed in 0..8 {
+            let (mut world, content) = long_world(seed);
+            for _ in 0..8 {
+                world.join_peer();
+            }
+            world.run_for(10_000);
+            let leaver = world.a_serving_peer().expect("8 peers at k=4 share threads");
+            let gone = world.node_to_addr[&leaver];
+            let points_at_gone = |world: &World| {
+                world
+                    .peers
+                    .values()
+                    .filter(|p| p.completed_at_us.is_none())
+                    .flat_map(|p| p.links.values())
+                    .filter(|l| l.parent.addr() == gone)
+                    .count()
+            };
+            let orphans = points_at_gone(&world);
+            assert!(orphans > 0, "seed {seed}: the leaver served nobody in transfer");
+            let commits = world.commit_seq;
+            world.leave_peer(leaver);
+            assert_eq!(world.commit_seq, commits + 1, "seed {seed}: the good-bye committed");
+            assert!(world.control.server().matrix().position_of(leaver).is_none());
+            assert!(!world.control.addrs().contains_key(&leaver));
+            // Let the repairs quiesce: no peer still in transfer points
+            // at the leaver any more.
+            let deadline = world.clock_us() + 10_000_000;
+            while points_at_gone(&world) > 0 && world.clock_us() < deadline {
+                world.run_for(10_000);
+            }
+            assert_eq!(points_at_gone(&world), 0, "seed {seed}: a child is stranded");
+            mirrored += assert_links_mirror_the_matrix(&mut world, &format!("seed {seed}"));
+            rewired += world.stats().repairs;
+            assert!(world.run_until_all_complete(120_000_000), "seed {seed}: {world:?}");
+            assert_eq!(world.stats().gave_up, 0, "seed {seed}: {:?}", world.stats());
+            assert_eq!(world.alive(), 7);
+            assert_survivors_decoded(&world, &content, &format!("seed {seed}"));
+        }
+        assert!(rewired > 0, "no orphan re-subscribed in any world");
+        assert!(mirrored > 0, "no live link was ever compared against the matrix");
+    }
+
+    #[test]
+    fn a_leave_next_to_a_kill_heals_both() {
+        let mut repairs = 0;
+        for seed in 0..8 {
+            let (mut world, content) = long_world(seed);
+            world.set_default_link(LinkProfile { loss: 0.02, ..LinkProfile::default() });
+            for _ in 0..10 {
+                world.join_peer();
+            }
+            world.run_for(10_000);
+            // Same instant, two serving peers: one says good-bye, one
+            // goes silent (a departed peer serves nobody, so the second
+            // pick is a different one).
+            let polite = world.a_serving_peer().expect("10 peers at k=4 share threads");
+            world.leave_peer(polite);
+            let silent = world.a_serving_peer().expect("someone else serves too");
+            world.kill_peer(silent);
+            assert!(world.run_until_all_complete(240_000_000), "seed {seed}: {world:?}");
+            let stats = world.stats();
+            assert_eq!(stats.gave_up, 0, "seed {seed}: {stats:?}");
+            assert!(stats.frames_lost > 0, "seed {seed}: 2% loss dropped nothing");
+            assert_eq!(world.alive(), 8);
+            assert_survivors_decoded(&world, &content, &format!("seed {seed}"));
+            repairs += stats.repairs;
+        }
+        assert!(repairs > 0, "no repair episode ran in any world");
     }
 
     #[test]
@@ -1243,6 +1394,38 @@ mod tests {
     }
 
     #[test]
+    fn a_goodbye_to_a_crashed_coordinator_is_lost_and_the_children_still_heal() {
+        let mut resyncs = 0;
+        for seed in 0..8 {
+            let (mut world, content) = long_world(seed);
+            for _ in 0..8 {
+                world.join_peer();
+            }
+            world.start_standby(Duration::from_millis(10), 3);
+            world.run_for(10_000);
+            let leaver = world.a_serving_peer().expect("8 peers at k=4 share threads");
+            world.crash_coordinator();
+            let commits = world.commit_seq;
+            world.leave_peer(leaver);
+            // Nobody heard the good-bye: nothing committed, the dead
+            // core's matrix still holds the row — but the peer is gone.
+            assert_eq!(world.commit_seq, commits);
+            assert!(world.control.server().matrix().position_of(leaver).is_some());
+            assert_eq!(world.alive(), 7);
+            assert!(world.journal().iter().any(|l| l.contains(" leave node=")));
+            assert!(world.run_until_all_complete(240_000_000), "seed {seed}: {world:?}");
+            assert!(world.coordinator_up(), "seed {seed}: standby never promoted");
+            let stats = world.stats();
+            assert_eq!(stats.gave_up, 0, "seed {seed}: {stats:?}");
+            assert_survivors_decoded(&world, &content, &format!("seed {seed}"));
+            resyncs += stats.resyncs;
+        }
+        // The promoted core never knew the orphans: they came back
+        // through the resync path before their complaint was answered.
+        assert!(resyncs > 0, "no orphan resynced after promotion in any world");
+    }
+
+    #[test]
     fn a_zero_budget_gives_up_where_the_default_policy_repairs() {
         // Same long transfer and twitchy stall detector as the standby
         // test, so the orphans notice the death mid-transfer.
@@ -1284,12 +1467,14 @@ mod tests {
             let nodes: Vec<NodeId> = (0..6).map(|_| world.join_peer()).collect();
             world.run_for(30_000);
             world.kill_peer(nodes[0]);
+            world.leave_peer(nodes[1]);
             world.run_for(10_000_000);
             world.journal().join("\n")
         };
         let a = run(99);
         let b = run(99);
         assert_eq!(a, b, "same seed must replay byte-identically");
+        assert!(a.contains(" kill node=") && a.contains(" leave node="), "{a}");
         let c = run(100);
         assert_ne!(a, c, "different seeds should explore different worlds");
     }

@@ -7,9 +7,9 @@
 //! * **unit-bandwidth links**: each overlay thread carries a bounded number
 //!   of packets per tick ([`LinkConfig::capacity_per_tick`]);
 //! * **latency**: per-link fixed delivery delay;
-//! * **ergodic failures**: iid packet loss ([`LinkConfig::loss`]) and bursty
-//!   Gilbert–Elliott loss ([`failure::GilbertElliott`]) — "temporary,
-//!   unannounced outage such as packet loss [or] network congestion" (§2);
+//! * **ergodic failures**: iid packet loss ([`LinkConfig::loss`]) —
+//!   "temporary, unannounced outage such as packet loss [or] network
+//!   congestion" (§2);
 //! * **determinism**: one seeded RNG drives everything; identical seeds
 //!   produce identical runs, event ties broken by sequence number.
 //!
@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod event;
-pub mod failure;
 mod link;
 mod time;
 mod world;

@@ -275,16 +275,6 @@ impl<A: Actor<M>, M> World<A, M> {
         LinkId(self.links.len() as u32 - 1)
     }
 
-    /// Read access to a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link does not exist.
-    #[must_use]
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.0 as usize]
-    }
-
     /// Read access to an actor.
     ///
     /// # Panics
