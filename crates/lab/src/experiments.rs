@@ -1126,9 +1126,9 @@ impl Sweep for E22VnetScale {
 
     fn run(&self, params: &Params, seed: u64) -> Measurement {
         match params.str("mode") {
-            mode @ ("churn" | "level") => {
+            "churn" | "level" => {
                 let out = e22::churn_soak(&Self::cell_params(params), seed);
-                let measured = Measurement::new()
+                Measurement::new()
                     .with("defect_p", out.defect_p)
                     .with("repairs", out.repairs as f64)
                     .with("resyncs", out.resyncs as f64)
@@ -1136,15 +1136,8 @@ impl Sweep for E22VnetScale {
                     .with("frames_lost", out.frames_lost as f64)
                     .with("all_complete", if out.all_complete { 1.0 } else { 0.0 })
                     .with("completed", out.completed as f64)
-                    .with("virtual_ms", out.virtual_ms);
-                if mode == "level" {
-                    measured
-                        .with("joins", (out.leaves + out.kills) as f64)
-                        .with("leaves", out.leaves as f64)
-                        .with("kills", out.kills as f64)
-                } else {
-                    measured
-                }
+                    .with("virtual_ms", out.virtual_ms)
+                    .with("leaves", out.leaves as f64)
             }
             "determinism" => {
                 let identical = e22::replay_identical(&Self::cell_params(params), seed);
@@ -1223,9 +1216,12 @@ impl Sweep for E22VnetScale {
                             "churn left no trace: pooled defect {pooled_defect:.5}, repairs {pooled_repairs:.1}"
                         ));
                     }
-                    // Only churn-level points report `leaves`.
-                    let leaves: Vec<f64> =
-                        points.iter().filter_map(|pt| pt.mean("leaves")).collect();
+                    // Points asked for good-byes; the N-axis (all kills) is not.
+                    let leaves: Vec<f64> = points
+                        .iter()
+                        .filter(|pt| pt.params.get("leave").is_some())
+                        .filter_map(|pt| pt.mean("leaves"))
+                        .collect();
                     if !leaves.is_empty() && leaves.iter().sum::<f64>() <= 0.0 {
                         return Err("the churn levels never said good-bye".to_owned());
                     }

@@ -101,7 +101,9 @@ impl Default for LinkProfile {
 impl LinkProfile {
     /// Total virtual delay for a frame of `bytes` on this link.
     fn delay_us(&self, bytes: usize) -> u64 {
-        // `0` = infinite bandwidth: no serialization delay.
+        // `0` = infinite bandwidth: no serialization delay. Spelled
+        // `checked_div` because stable clippy (1.95, `manual_checked_ops`,
+        // warn by default) fails CI's `-D warnings` on `if x == 0 {..} else {a / x}`.
         let serialize = (bytes as u64)
             .saturating_mul(1_000_000)
             .checked_div(self.bandwidth_bps)
