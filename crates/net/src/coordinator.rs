@@ -10,10 +10,10 @@
 //! its thread→parent view, and the coordinator re-inserts the row.
 
 use std::collections::VecDeque;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -27,6 +27,7 @@ use crate::core::coordinator::{ControlCore, CoreOutcome};
 use crate::framing;
 use crate::lock;
 use crate::proto::{self, Request, Response};
+use crate::transport::tcp;
 use crate::wal::{Wal, WalOptions, WalRecord, WalStore};
 
 /// Committed-but-recent WAL records kept in memory so a tailing standby
@@ -37,6 +38,10 @@ const TAIL_RETAIN: usize = 1024;
 const COMMIT_WAIT: Duration = Duration::from_secs(10);
 /// Base backoff after a failed compaction (doubles per failure, capped).
 const COMPACT_BACKOFF_BASE_MS: u64 = 100;
+/// How long a control connection may sit without a request before its
+/// handler hangs up (and the socket's write timeout). A caller whose kept
+/// connection was reaped reconnects on its next call (`proto::call`).
+const CONTROL_IDLE: Duration = Duration::from_secs(5);
 /// Per-member connect timeout for the proactive resync sweep. Short on
 /// purpose: a sweep that hangs on one slow peer delays nudging the rest.
 const SWEEP_PROBE_TIMEOUT: Duration = Duration::from_millis(400);
@@ -306,6 +311,9 @@ struct State {
     /// response leaves (set by [`State::log`], collected by
     /// [`State::handle`]).
     pending_wait: Option<u64>,
+    /// Control connections with a live handler (`/health`'s
+    /// `control_connections`, the `ctrl_connections_live` gauge).
+    connections: u64,
 }
 
 impl State {
@@ -365,6 +373,17 @@ impl State {
                 | Request::Completed { .. }
                 | Request::Resync { .. }
         )
+    }
+
+    /// Books a control connection opening or closing.
+    fn note_connection(&mut self, opened: bool) {
+        if opened {
+            self.connections += 1;
+            self.recorder.counter("ctrl_connections_accepted", 1);
+        } else {
+            self.connections -= 1;
+        }
+        self.recorder.gauge("ctrl_connections_live", self.connections as f64);
     }
 
     /// Whether strict mode is refusing mutations right now.
@@ -459,9 +478,12 @@ fn unavailable() -> Response {
 
 /// A running coordinator bound to a local TCP port.
 ///
-/// The accept loop runs on a background thread; each control connection is
-/// one request/response exchange. Drop or [`Coordinator::shutdown`] stops
-/// it.
+/// The accept loop blocks in `accept` on a background thread; each control
+/// connection gets a handler thread that answers request lines in order
+/// until the caller hangs up or sends nothing for 5 s (`CONTROL_IDLE`). Drop,
+/// [`Coordinator::kill`] or [`Coordinator::shutdown`] stop it: idle
+/// connections are closed at once, a request already being served still
+/// gets its response.
 pub struct Coordinator {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -509,7 +531,7 @@ impl Coordinator {
     ) -> io::Result<Self> {
         let core = ControlCore::new(config, seed, recorder.clone()).map_err(io::Error::other)?;
         let commit = CommitShared::new(None, false, recorder.clone());
-        let state = State { core, recorder, commit, pending_wait: None };
+        let state = State { core, recorder, commit, pending_wait: None, connections: 0 };
         Self::serve(TcpListener::bind("127.0.0.1:0")?, state)
     }
 
@@ -550,7 +572,7 @@ impl Coordinator {
     ) -> io::Result<Self> {
         let core = ControlCore::new(config, seed, recorder.clone()).map_err(io::Error::other)?;
         let commit = CommitShared::new(Some(store), strict, recorder.clone());
-        let state = State { core, recorder, commit, pending_wait: None };
+        let state = State { core, recorder, commit, pending_wait: None, connections: 0 };
         Self::serve(TcpListener::bind("127.0.0.1:0")?, state)
     }
 
@@ -698,7 +720,6 @@ impl Coordinator {
 
     fn serve(listener: TcpListener, state: State) -> io::Result<Self> {
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let commit = Arc::clone(&state.commit);
         let state = Arc::new(Mutex::new(state));
@@ -833,7 +854,7 @@ impl Coordinator {
     }
 
     fn stop_now(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        tcp::stop_accept_loop(&self.stop, self.addr);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
             // Drain the committer after the accept loop: no new mutations
@@ -868,6 +889,7 @@ fn health_json_of(state: &Mutex<State>) -> String {
     doc.insert("role".to_string(), JsonValue::Str("coordinator".to_string()));
     doc.insert("ok".to_string(), JsonValue::Bool(true));
     doc.insert("matrix_rows".to_string(), JsonValue::Int(st.core.server().matrix().len() as i64));
+    doc.insert("control_connections".to_string(), JsonValue::Int(st.connections as i64));
     let defect = curtain_overlay::defect::exact(st.core.server().matrix(), st.core.server().config().d);
     doc.insert("total_defect".to_string(), JsonValue::Int(defect.total_defect() as i64));
     doc.insert("completed".to_string(), JsonValue::Int(st.core.completed().len() as i64));
@@ -974,7 +996,7 @@ fn replay_wal(
     let core = ControlCore::replay(config, seed, recorder.clone(), records, next_id_floor)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let commit = CommitShared::new(Some(Box::new(wal)), strict, recorder.clone());
-    Ok((State { core, recorder, commit, pending_wait: None }, replayed, resynced))
+    Ok((State { core, recorder, commit, pending_wait: None, connections: 0 }, replayed, resynced))
 }
 
 /// Milliseconds since the unix epoch, with a fixed large fallback when
@@ -1006,70 +1028,89 @@ fn accept_loop(
     state: &Arc<Mutex<State>>,
     commit: &Arc<CommitShared>,
 ) {
-    // Every connection handler is tracked and joined: finished handlers
-    // are reaped as new connections arrive (so the list tracks the live
-    // set, not the total served), and the stragglers are joined on the
-    // way out — a stopped coordinator leaves no thread of its own behind.
-    let mut children: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                reap_finished(&mut children);
-                let state = Arc::clone(state);
-                let commit = Arc::clone(commit);
-                children.push(std::thread::spawn(move || {
-                    let _ = handle_connection(&stream, &state, &commit);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
+    // Every connection handler is tracked, next to a clone of its socket,
+    // and joined: finished handlers are reaped as new connections arrive
+    // (so the list tracks the live set, not the total served), and the
+    // stragglers are joined on the way out — a stopped coordinator leaves
+    // no thread of its own behind.
+    let mut children: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    while let Some(stream) = tcp::accept_next(listener, stop, &commit.recorder) {
+        reap_finished(&mut children);
+        let Ok(registered) = stream.try_clone() else {
+            // Out of descriptors. Without the clone, stop could not close
+            // this connection, so it is not served.
+            commit.recorder.counter("accept_errors", 1);
+            continue;
+        };
+        lock(state).note_connection(true);
+        let state = Arc::clone(state);
+        let commit = Arc::clone(commit);
+        let handler = std::thread::spawn(move || {
+            let _ = handle_connection(&stream, &state, &commit);
+            // The registry's clone must not hold a finished connection
+            // open: hang up now, whoever drops its descriptor last.
+            let _ = stream.shutdown(Shutdown::Both);
+            lock(&state).note_connection(false);
+        });
+        children.push((handler, registered));
     }
-    for child in children {
-        let _ = child.join();
+    // Closing the read half ends an idle handler at once (its blocked
+    // read sees end of stream) while one in the middle of a request still
+    // writes its response before it finds the same.
+    for (_, conn) in &children {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
+    for (handler, _) in children {
+        let _ = handler.join();
     }
 }
 
 /// Joins (without blocking) every handler that has already returned.
-fn reap_finished(children: &mut Vec<JoinHandle<()>>) {
+fn reap_finished(children: &mut Vec<(JoinHandle<()>, TcpStream)>) {
     let mut i = 0;
     while i < children.len() {
-        if children[i].is_finished() {
-            let _ = children.swap_remove(i).join();
+        if children[i].0.is_finished() {
+            let _ = children.swap_remove(i).0.join();
         } else {
             i += 1;
         }
     }
 }
 
+/// Serves one control connection: request lines in, response lines out,
+/// in order, until the caller hangs up, sends something unreadable, or
+/// stays silent for [`CONTROL_IDLE`].
 fn handle_connection(
     stream: &TcpStream,
     state: &Mutex<State>,
     commit: &Arc<CommitShared>,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let request = proto::read_request(stream)?;
-    let (mut response, wait) = lock(state).handle(request);
-    // The response computed above is not released until the batch
-    // holding this mutation's WAL record is fsynced. The
-    // state lock is NOT held here — other mutations pile into the same
-    // batch while we wait, which is the whole point.
-    if let Some(seq) = wait {
-        match commit.wait_durable(seq, COMMIT_WAIT) {
-            DurableWait::Durable => {}
-            DurableWait::Degraded | DurableWait::TimedOut => {
-                if commit.strict() {
-                    response = unavailable();
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(CONTROL_IDLE))?;
+    stream.set_write_timeout(Some(CONTROL_IDLE))?;
+    let mut reader = BufReader::new(stream);
+    loop {
+        let request = proto::read_request(&mut reader)?;
+        commit.recorder.counter("ctrl_requests", 1);
+        let (mut response, wait) = lock(state).handle(request);
+        // The response computed above is not released until the batch
+        // holding this mutation's WAL record is fsynced. The
+        // state lock is NOT held here — other mutations pile into the same
+        // batch while we wait, which is the whole point.
+        if let Some(seq) = wait {
+            match commit.wait_durable(seq, COMMIT_WAIT) {
+                DurableWait::Durable => {}
+                DurableWait::Degraded | DurableWait::TimedOut => {
+                    if commit.strict() {
+                        response = unavailable();
+                    }
+                    // Lenient mode serves the non-durable response; degraded
+                    // mode has already been entered and telemetered.
                 }
-                // Lenient mode serves the non-durable response; degraded
-                // mode has already been entered and telemetered.
             }
         }
+        proto::write_response(stream, &response)?;
     }
-    proto::write_response(stream, &response)
 }
 
 #[cfg(test)]
@@ -1116,6 +1157,185 @@ mod tests {
         assert_eq!(c.members(), 1);
         let resp = proto::call(c.addr(), &Request::Stats, T).unwrap();
         assert_eq!(resp, Response::Stats { members: 1, completed: 0, repairs: 0 });
+    }
+
+    fn traced(seed: u64) -> (Coordinator, curtain_telemetry::MemorySink) {
+        let sink = curtain_telemetry::MemorySink::new();
+        let recorder = SharedRecorder::wall_clock(sink.clone());
+        let c = Coordinator::start_traced(OverlayConfig::new(4, 2), seed, recorder).unwrap();
+        (c, sink)
+    }
+
+    fn counter(sink: &curtain_telemetry::MemorySink, name: &str) -> u64 {
+        sink.metrics().snapshot().counters.get(name).copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn fifty_calls_from_one_thread_are_one_accepted_connection() {
+        let (c, sink) = traced(41);
+        for _ in 0..50 {
+            let resp = proto::call(c.addr(), &Request::Stats, T).unwrap();
+            assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
+        }
+        assert_eq!(counter(&sink, "ctrl_connections_accepted"), 1);
+        assert_eq!(counter(&sink, "ctrl_requests"), 50);
+        assert_eq!(sink.metrics().snapshot().gauges["ctrl_connections_live"], 1.0);
+        assert!(c.health_json().contains("\"control_connections\":1"), "{}", c.health_json());
+    }
+
+    #[test]
+    fn a_quiet_coordinator_answers_without_a_poll_wait() {
+        let c = Coordinator::start(OverlayConfig::new(4, 2)).unwrap();
+        let started = Instant::now();
+        for _ in 0..200 {
+            proto::call(c.addr(), &Request::Stats, T).unwrap();
+        }
+        // A coordinator that sleeps 5 ms between polls of `accept` needs
+        // a second for these.
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(500), "200 calls took {elapsed:?}");
+    }
+
+    #[test]
+    fn a_kept_connection_to_a_dead_coordinator_is_replaced_once() {
+        let path = wal_dir().join("kept_connection_successor.wal");
+        let wal = WalOptions::new(&path);
+        let c = Coordinator::start_durable(OverlayConfig::new(4, 2), 42, SharedRecorder::null(), &wal)
+            .unwrap();
+        let addr = c.addr();
+        assert_eq!(register(addr, 9890), Response::Ok);
+        c.kill();
+        let sink = curtain_telemetry::MemorySink::new();
+        let recorder = SharedRecorder::wall_clock(sink.clone());
+        let r = Coordinator::recover_at(addr, wal, OverlayConfig::new(4, 2), 42, recorder).unwrap();
+        // This thread still holds its connection to the dead incarnation:
+        // the call finds it closed and goes through on a fresh one.
+        let _ = hello(addr, 9891);
+        let _ = hello(addr, 9892);
+        assert_eq!(r.members(), 2);
+        assert_eq!(counter(&sink, "ctrl_connections_accepted"), 1);
+        drop(r);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_idle_connection_is_reaped_and_the_next_call_still_succeeds() {
+        let (c, sink) = traced(43);
+        proto::call(c.addr(), &Request::Stats, T).unwrap();
+        let live = || sink.metrics().snapshot().gauges["ctrl_connections_live"];
+        assert_eq!(live(), 1.0);
+        let deadline = Instant::now() + CONTROL_IDLE + Duration::from_secs(2);
+        while live() != 0.0 {
+            assert!(Instant::now() < deadline, "idle handler still alive after CONTROL_IDLE");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let resp = proto::call(c.addr(), &Request::Stats, T).unwrap();
+        assert!(matches!(resp, Response::Stats { .. }), "{resp:?}");
+        assert_eq!(counter(&sink, "ctrl_connections_accepted"), 2);
+    }
+
+    #[test]
+    fn kill_returns_promptly_with_idle_connections_open() {
+        let c = Coordinator::start(OverlayConfig::new(4, 2)).unwrap();
+        proto::call(c.addr(), &Request::Stats, T).unwrap();
+        // The test thread keeps its connection; its handler sits in a read
+        // with `CONTROL_IDLE` to go.
+        let started = Instant::now();
+        c.kill();
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "kill took {elapsed:?}");
+    }
+
+    /// A [`WalStore`] whose fsync takes a fixed, long time.
+    struct SlowSync(Wal, Duration);
+
+    impl WalStore for SlowSync {
+        fn append(&mut self, record: &WalRecord) -> io::Result<()> {
+            self.0.append(record)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            std::thread::sleep(self.1);
+            self.0.sync()
+        }
+        fn compact(&mut self, checkpoint: &WalRecord) -> io::Result<()> {
+            self.0.compact(checkpoint)
+        }
+        fn bytes(&self) -> u64 {
+            self.0.bytes()
+        }
+        fn records(&self) -> u64 {
+            self.0.records()
+        }
+        fn needs_compaction(&self) -> bool {
+            self.0.needs_compaction()
+        }
+    }
+
+    #[test]
+    fn a_request_in_flight_at_shutdown_still_gets_its_response() {
+        let path = wal_dir().join("in_flight_at_shutdown.wal");
+        let store = SlowSync(Wal::create(&path, u64::MAX).unwrap(), Duration::from_millis(300));
+        let c = Coordinator::start_durable_with_store(
+            OverlayConfig::new(4, 2),
+            44,
+            SharedRecorder::null(),
+            Box::new(store),
+            true,
+        )
+        .unwrap();
+        let addr = c.addr();
+        assert_eq!(register(addr, 9895), Response::Ok);
+        let joiner = std::thread::spawn(move || {
+            proto::call(addr, &Request::Hello { data_addr: "127.0.0.1:9896".parse().unwrap() }, T)
+        });
+        // The row is in `M` as soon as the hello is dispatched; its
+        // response then waits out the slow fsync — which is when the
+        // coordinator is told to stop.
+        let deadline = Instant::now() + T;
+        while c.members() == 0 {
+            assert!(Instant::now() < deadline, "hello never reached the coordinator");
+            std::thread::yield_now();
+        }
+        c.kill();
+        let resp = joiner.join().unwrap().unwrap();
+        assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn two_requests_in_one_write_get_two_responses_in_order() {
+        use std::io::{BufRead, Write};
+
+        let c = Coordinator::start(OverlayConfig::new(4, 2)).unwrap();
+        let mut raw = TcpStream::connect(c.addr()).unwrap();
+        raw.set_read_timeout(Some(T)).unwrap();
+        let hello = Request::Hello { data_addr: "127.0.0.1:9897".parse().unwrap() };
+        let both = format!("{}\n{}\n", Request::Stats.to_json_line(), hello.to_json_line());
+        raw.write_all(both.as_bytes()).unwrap();
+        let mut lines = BufReader::new(&raw).lines();
+        let first = Response::parse_json_line(&lines.next().unwrap().unwrap()).unwrap();
+        assert_eq!(first, Response::Stats { members: 0, completed: 0, repairs: 0 });
+        // No source yet: the hello is refused — but it is answered, not
+        // swallowed with the first request's read buffer.
+        let second = Response::parse_json_line(&lines.next().unwrap().unwrap()).unwrap();
+        assert!(matches!(second, Response::Error { .. }), "{second:?}");
+    }
+
+    #[test]
+    fn a_one_request_then_close_client_is_served_as_before() {
+        use std::io::{Read, Write};
+
+        let c = Coordinator::start(OverlayConfig::new(4, 2)).unwrap();
+        let mut raw = TcpStream::connect(c.addr()).unwrap();
+        raw.set_read_timeout(Some(T)).unwrap();
+        raw.write_all(format!("{}\n", Request::Stats.to_json_line()).as_bytes()).unwrap();
+        raw.shutdown(Shutdown::Write).unwrap();
+        // One response line, then the server's side closes too.
+        let mut all = String::new();
+        raw.read_to_string(&mut all).unwrap();
+        assert_eq!(all.matches('\n').count(), 1, "{all:?}");
+        let resp = Response::parse_json_line(&all).unwrap();
+        assert_eq!(resp, Response::Stats { members: 0, completed: 0, repairs: 0 });
     }
 
     #[test]
@@ -1541,7 +1761,7 @@ mod tests {
         assert!(matches!(resp, Response::Error { .. }));
     }
 
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Fault-injecting [`WalStore`]: flips append/sync/compact between
     /// healthy delegation and injected errors, and counts compaction

@@ -10,9 +10,9 @@
 //!
 //! Design notes:
 //!
-//! * **Control plane** — one JSON line per request/response over a
-//!   short-lived TCP connection ([`proto`]). The coordinator wraps the same
-//!   [`curtain_overlay::CurtainServer`] the simulations use.
+//! * **Control plane** — one JSON line per request and per response, over a
+//!   TCP connection each calling thread keeps ([`proto::call`]). It fronts
+//!   the same [`curtain_overlay::CurtainServer`] the simulations use.
 //! * **Data plane** — length-prefixed [`curtain_rlnc::CodedPacket`] wire
 //!   frames ([`framing`]). A subscriber opens a socket to its parent,
 //!   writes one subscribe line, then reads frames forever. Every packet

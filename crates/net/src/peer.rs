@@ -233,23 +233,19 @@ impl Peer {
             let shared = Arc::clone(&shared);
             let seed = Arc::new(AtomicU64::new(node.0.wrapping_mul(0x9E37_79B9)));
             handles.push(std::thread::spawn(move || {
-                while !shared.stop.load(Ordering::SeqCst) {
-                    match tcp::poll_accept(&listener) {
-                        Ok(Some(stream)) => {
-                            let worker_shared = Arc::clone(&shared);
-                            let s = seed.fetch_add(1, Ordering::SeqCst);
-                            let handle = std::thread::spawn(move || {
-                                let _ = serve_child(&stream, &worker_shared, pace, s);
-                            });
-                            let mut children = lock(&shared.children);
-                            // Reap naturally finished children so the
-                            // list stays bounded on long-lived peers.
-                            children.retain(|h| !h.is_finished());
-                            children.push(handle);
-                        }
-                        Ok(None) => {}
-                        Err(_) => break,
-                    }
+                while let Some(stream) =
+                    tcp::accept_next(&listener, &shared.stop, &shared.recorder)
+                {
+                    let worker_shared = Arc::clone(&shared);
+                    let s = seed.fetch_add(1, Ordering::SeqCst);
+                    let handle = std::thread::spawn(move || {
+                        let _ = serve_child(&stream, &worker_shared, pace, s);
+                    });
+                    let mut children = lock(&shared.children);
+                    // Reap naturally finished children so the
+                    // list stays bounded on long-lived peers.
+                    children.retain(|h| !h.is_finished());
+                    children.push(handle);
                 }
             }));
         }
@@ -361,7 +357,10 @@ impl Peer {
     }
 
     fn stop_threads(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        // `data_addr` is the listener's own bound address (a peer
+        // advertises exactly where it listens), which is what the wake
+        // must dial.
+        tcp::stop_accept_loop(&self.shared.stop, self.shared.data_addr);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }

@@ -5,15 +5,26 @@
 //! in the sans-io core ([`crate::core::ctrl`]), generic over the address
 //! type. This module pins it to `std::net::SocketAddr` for the TCP
 //! driver (the type aliases keep every existing call site compiling
-//! unchanged) and adds the one-connection-per-request I/O:
-//! [`call`], [`read_request`], [`write_response`].
+//! unchanged) and adds the I/O: one JSON line per request, one per
+//! response, any number of exchanges per connection, in order.
+//!
+//! * The client is [`call`]: each calling thread keeps the one control
+//!   connection it used last and sends its next request down it. Its
+//!   documentation states the reuse rule — when a kept connection is
+//!   replaced, and which failures are never retried.
+//! * The server side is [`read_request`] / [`write_response`] over one
+//!   buffered reader per accepted connection (a reader per *request*
+//!   would swallow whatever followed the first newline). A client that
+//!   sends one request and closes is served as before.
 
+use std::cell::RefCell;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::core::ctrl::{CtrlParent, CtrlRequest, CtrlResponse, WireAddr};
 use crate::core::wire::MAX_REQUEST_LINE;
+use crate::transport::tcp;
 use crate::wal::MAX_RECORD;
 
 /// Upper bound on a response line. The largest response is a `Snapshot`,
@@ -43,47 +54,121 @@ fn invalid(e: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// Reads one line of at most `cap` bytes: a peer that streams bytes
-/// without a newline must not grow this process's heap without bound.
-fn read_line_capped(stream: &TcpStream, cap: u64) -> io::Result<String> {
+/// Reads one line of at most `cap` bytes from a connection's reader: a
+/// peer that streams bytes without a newline must not grow this
+/// process's heap without bound. End of stream before the first byte is
+/// `UnexpectedEof` — the other side hung up between exchanges.
+fn read_line_capped(reader: &mut impl BufRead, cap: u64) -> io::Result<String> {
     let mut buf = String::new();
-    BufReader::new(stream.take(cap)).read_line(&mut buf)?;
+    reader.take(cap).read_line(&mut buf)?;
+    if buf.is_empty() {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
+    }
     if buf.len() as u64 >= cap && !buf.ends_with('\n') {
         return Err(invalid(format!("control line exceeds {cap} bytes")));
     }
     Ok(buf)
 }
 
-/// Sends one request and reads one response over a fresh connection.
-///
-/// # Errors
-///
-/// Propagates socket and serialization errors; the per-call timeout guards
-/// both connect and read.
-pub fn call(coordinator: SocketAddr, request: &Request, timeout: Duration) -> io::Result<Response> {
-    let stream = TcpStream::connect_timeout(&coordinator, timeout)?;
+thread_local! {
+    /// The calling thread's kept control connection and where it leads.
+    static KEPT: RefCell<Option<(SocketAddr, BufReader<TcpStream>)>> =
+        const { RefCell::new(None) };
+}
+
+fn connect(coordinator: SocketAddr, timeout: Duration) -> io::Result<BufReader<TcpStream>> {
+    let stream = tcp::dial(coordinator, timeout)?;
+    stream.set_nodelay(true)?;
+    Ok(BufReader::new(stream))
+}
+
+/// One exchange on `conn`: arm the per-call timeout, write the request
+/// line, read the response line.
+fn exchange(
+    conn: &mut BufReader<TcpStream>,
+    line: &str,
+    timeout: Duration,
+) -> io::Result<Response> {
+    let stream = conn.get_mut();
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    let mut line = request.to_json_line();
-    line.push('\n');
-    writer.write_all(line.as_bytes())?;
-    writer.flush()?;
-    let buf = read_line_capped(&stream, MAX_RESPONSE_LINE)?;
-    if buf.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "empty response"));
-    }
+    stream.write_all(line.as_bytes())?;
+    let buf = read_line_capped(conn, MAX_RESPONSE_LINE)?;
     Response::parse_json_line(&buf).map_err(invalid)
 }
 
-/// Reads one request line from an accepted control connection.
+/// Whether `e` on a *reused* connection means the server had hung up
+/// before it read the request: end of stream before any response byte,
+/// or the reset / broken pipe of writing into a closed socket.
+fn hung_up(e: &io::Error) -> bool {
+    use io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+    matches!(e.kind(), UnexpectedEof | ConnectionReset | BrokenPipe | ConnectionAborted)
+}
+
+/// Sends one request and reads one response, over the control connection
+/// this thread kept from its previous call when that leads to
+/// `coordinator`, over a fresh one otherwise. A successful exchange
+/// leaves the connection kept (one per thread: calling another address
+/// closes it); any failure closes it.
+///
+/// **The reuse rule.** A *reused* connection that fails with end of
+/// stream before any response byte, `ConnectionReset`, `BrokenPipe` or
+/// `ConnectionAborted` is dropped and the request is sent once more on a
+/// fresh connection: the server only hangs up on an idle connection, or
+/// because it died — in which case the caller's own retry would have
+/// done the same — so a request is still applied at most once per
+/// `call`. A **timeout is never retried**: the mutation may be parked in
+/// the coordinator's commit queue. A failure on a fresh connection is
+/// returned as it is. An unparseable response closes the connection.
+///
+/// A call made while the thread's locals are being torn down uses a
+/// one-shot connection.
 ///
 /// # Errors
 ///
-/// Propagates socket and parse errors; a line over the request cap is
-/// `InvalidData`.
-pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
-    let buf = read_line_capped(stream, MAX_REQUEST_LINE)?;
+/// Propagates socket and serialization errors; `timeout` guards the
+/// connect and, re-armed on every call, each write and read.
+pub fn call(coordinator: SocketAddr, request: &Request, timeout: Duration) -> io::Result<Response> {
+    let mut line = request.to_json_line();
+    line.push('\n');
+    let kept = KEPT
+        .try_with(|slot| slot.borrow_mut().take())
+        .ok()
+        .flatten()
+        .and_then(|(addr, conn)| (addr == coordinator).then_some(conn));
+    let mut conn = match kept {
+        Some(mut conn) => match exchange(&mut conn, &line, timeout) {
+            Err(e) if hung_up(&e) => connect(coordinator, timeout)?,
+            result => return keep(coordinator, conn, result),
+        },
+        None => connect(coordinator, timeout)?,
+    };
+    let result = exchange(&mut conn, &line, timeout);
+    keep(coordinator, conn, result)
+}
+
+/// Keeps `conn` for this thread's next call if the exchange on it
+/// succeeded; closes it otherwise.
+fn keep(
+    coordinator: SocketAddr,
+    conn: BufReader<TcpStream>,
+    result: io::Result<Response>,
+) -> io::Result<Response> {
+    if result.is_ok() {
+        let _ = KEPT.try_with(|slot| *slot.borrow_mut() = Some((coordinator, conn)));
+    }
+    result
+}
+
+/// Reads the next request line from an accepted control connection's
+/// reader (one reader per connection, so pipelined lines survive).
+///
+/// # Errors
+///
+/// Propagates socket and parse errors; end of stream between requests is
+/// `UnexpectedEof`, a line over the request cap is `InvalidData`.
+pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
+    let buf = read_line_capped(reader, MAX_REQUEST_LINE)?;
     Request::parse_json_line(&buf).map_err(invalid)
 }
 
@@ -95,8 +180,7 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
 pub fn write_response(mut stream: &TcpStream, response: &Response) -> io::Result<()> {
     let mut line = response.to_json_line();
     line.push('\n');
-    stream.write_all(line.as_bytes())?;
-    stream.flush()
+    stream.write_all(line.as_bytes())
 }
 
 #[cfg(test)]
@@ -104,6 +188,67 @@ mod tests {
     use super::*;
     use curtain_overlay::NodeId;
     use curtain_telemetry::TraceContext;
+
+    use std::net::TcpListener;
+
+    fn ok_line() -> String {
+        format!("{}\n", Response::Ok.to_json_line())
+    }
+
+    #[test]
+    fn a_timeout_on_a_kept_connection_is_not_retried() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Answers the first line, then reads on in silence.
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut lines = BufReader::new(&stream).lines();
+            let mut seen = 0;
+            while let Some(Ok(_)) = lines.next() {
+                seen += 1;
+                if seen == 1 {
+                    (&stream).write_all(ok_line().as_bytes()).unwrap();
+                }
+            }
+            (listener, seen)
+        });
+        let timeout = Duration::from_millis(200);
+        assert_eq!(call(addr, &Request::Stats, timeout).unwrap(), Response::Ok);
+        let started = std::time::Instant::now();
+        let err = call(addr, &Request::Stats, timeout).unwrap_err();
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+            "{err:?}"
+        );
+        assert!(elapsed >= timeout && elapsed < 2 * timeout, "one timeout, not two: {elapsed:?}");
+        // The timed-out connection was closed, which is what ends the
+        // server's read loop: one connection, two lines, no third.
+        let (listener, seen) = server.join().unwrap();
+        assert_eq!(seen, 2);
+        listener.set_nonblocking(true).unwrap();
+        assert!(listener.accept().is_err(), "the timed-out request was sent again");
+    }
+
+    #[test]
+    fn a_server_that_closes_after_every_response_is_still_served() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The pre-keep-alive coordinator: one request, one response, close.
+        let server = std::thread::spawn(move || {
+            for _ in 0..3 {
+                let (stream, _) = listener.accept().unwrap();
+                let mut line = String::new();
+                BufReader::new(&stream).read_line(&mut line).unwrap();
+                assert_eq!(Request::parse_json_line(&line).unwrap(), Request::Stats);
+                (&stream).write_all(ok_line().as_bytes()).unwrap();
+            }
+        });
+        for _ in 0..3 {
+            assert_eq!(call(addr, &Request::Stats, Duration::from_secs(2)).unwrap(), Response::Ok);
+        }
+        server.join().unwrap();
+    }
 
     #[test]
     fn round_trip_json() {

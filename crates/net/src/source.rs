@@ -188,33 +188,27 @@ impl PendingSource {
             let generation_size = self.generation_size;
             let window = self.window.map(|w| Window { span: w, generation_size });
             std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    match tcp::poll_accept(&listener) {
-                        Ok(Some(stream)) => {
-                            let worker_stop = Arc::clone(&stop);
-                            let encoder = Arc::clone(&encoder);
-                            let s = seed.fetch_add(1, Ordering::SeqCst);
-                            let recorder = recorder.clone();
-                            let handle = std::thread::spawn(move || {
-                                let _ = serve_subscriber(
-                                    &stream,
-                                    &encoder,
-                                    generation_size,
-                                    &worker_stop,
-                                    pace,
-                                    s,
-                                    &recorder,
-                                    trace,
-                                    window,
-                                );
-                            });
-                            let mut subs = lock(&subscribers);
-                            subs.retain(|h: &JoinHandle<()>| !h.is_finished());
-                            subs.push(handle);
-                        }
-                        Ok(None) => {}
-                        Err(_) => break,
-                    }
+                while let Some(stream) = tcp::accept_next(&listener, &stop, &recorder) {
+                    let worker_stop = Arc::clone(&stop);
+                    let encoder = Arc::clone(&encoder);
+                    let s = seed.fetch_add(1, Ordering::SeqCst);
+                    let recorder = recorder.clone();
+                    let handle = std::thread::spawn(move || {
+                        let _ = serve_subscriber(
+                            &stream,
+                            &encoder,
+                            generation_size,
+                            &worker_stop,
+                            pace,
+                            s,
+                            &recorder,
+                            trace,
+                            window,
+                        );
+                    });
+                    let mut subs = lock(&subscribers);
+                    subs.retain(|h: &JoinHandle<()>| !h.is_finished());
+                    subs.push(handle);
                 }
             })
         };
@@ -369,7 +363,9 @@ impl Source {
     }
 
     fn stop_now(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        // The bound address, not the advertised one: a fault proxy may
+        // front the latter, and the wake must reach the listener itself.
+        tcp::stop_accept_loop(&self.stop, self.data_addr);
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }

@@ -72,6 +72,10 @@ fn complaint_retries_through_coordinator_outage() {
 
     coord_proxy.set_fault(Fault::Refuse);
     source_proxy.set_fault(Fault::Refuse);
+    // An outage takes the established control connections with it: an
+    // upstream thread that reported completion keeps one through the
+    // proxy, and `Refuse` alone only turns new dials away.
+    coord_proxy.cut();
     source_proxy.cut();
     // Several complaint attempts fail against the refused coordinator.
     std::thread::sleep(Duration::from_millis(300));
